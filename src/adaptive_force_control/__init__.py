@@ -49,7 +49,6 @@ from .policy import (
     policy_basename,
     save_policy,
     solve_policy,
-    solve_policy_sweep,
     solve_policy_tabular,
     stage_cost,
     step_dynamics,
@@ -118,7 +117,6 @@ __all__ = [
     "save_policy",
     "save_zone_csv",
     "solve_policy",
-    "solve_policy_sweep",
     "solve_policy_tabular",
     "stage_cost",
     "step_dynamics",

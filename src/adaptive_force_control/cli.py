@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .contact import (
     ContactModel,
     fit_exponential,
@@ -21,7 +19,7 @@ from .contact import (
     save_zone_csv,
 )
 from .controller import AdaptationModule, ConstantGainModule, HybridConfig, HybridController
-from .mlp import TrainConfig, build_dataset, save_dataset, save_model, train
+from .mlp import TrainConfig
 from .policy import (
     CostParams,
     DEFAULT_GAMMA,
@@ -29,11 +27,16 @@ from .policy import (
     DEFAULT_TOL,
     GridSpec,
     default_references,
-    load_policy,
-    save_policy,
-    solve_policy,
 )
-from .pipeline import PipelineConfig, StageError, run_pipeline
+from .pipeline import (
+    PipelineConfig,
+    SolveConfig,
+    StageError,
+    load_policies,
+    run_pipeline,
+    solve_policies,
+    train_pooled,
+)
 from .sim import SimConfig, compute_metrics, run_episode, save_trajectory
 from .zones import get_zone
 
@@ -106,20 +109,18 @@ def cmd_solve(args) -> int:
     grid = GridSpec(dt=args.dt) if args.dt else GridSpec()
     cost = CostParams(a=args.cost_a, b=args.cost_b)
     references = _parse_references(args.r) if args.r else default_references()
+    solve = SolveConfig(
+        references=tuple(references), gamma=args.gamma, tol=args.tol, max_sweeps=args.max_sweeps
+    )
     out_dir = Path(args.out)
     unconverged = []
-    for reference in references:
-        table = solve_policy(
-            model, reference, grid, cost,
-            gamma=args.gamma, tol=args.tol, max_sweeps=args.max_sweeps,
-        )
-        save_policy(out_dir, table, grid, cost, gamma=args.gamma)
+    for table in solve_policies(model, solve, grid, cost, out_dir):
         print(
-            f"r={reference:g}: sweeps={table.sweeps} "
+            f"r={table.reference:g}: sweeps={table.sweeps} "
             f"converged={str(table.converged).lower()}"
         )
         if not table.converged:
-            unconverged.append(reference)
+            unconverged.append(table.reference)
     print(f"{len(references)} policies written to {out_dir}")
     if unconverged and not args.allow_unconverged:
         refs = ", ".join(f"{r:g}" for r in unconverged)
@@ -132,38 +133,24 @@ def cmd_train(args) -> int:
     if len(args.policies) != len(args.model):
         print("error: need one --model per --policies directory", file=sys.stderr)
         return EXIT_INPUT
-    features_blocks = []
-    labels_blocks = []
+    zones = []
     for policy_dir, model_path in zip(args.policies, args.model):
         model = ContactModel.from_json(model_path)
-        paths = sorted(
-            Path(policy_dir).glob("policy_r*.csv"),
-            key=lambda p: float(p.stem.removeprefix("policy_r")),
-        )
-        if not paths:
+        tables = load_policies(policy_dir)
+        if not tables:
             print(f"error: no policy files under {policy_dir}", file=sys.stderr)
             return EXIT_INPUT
-        tables = [load_policy(p)[0] for p in paths]
-        f, labels = build_dataset(tables, model)
-        features_blocks.append(f)
-        labels_blocks.append(labels)
-    features = np.concatenate(features_blocks)
-    labels = np.concatenate(labels_blocks)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_dataset(out_dir / "dataset.csv", features, labels)
+        zones.append((tables, model))
     cfg = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    result = train(features, labels, cfg)
-    save_model(out_dir / "adaptation.json", result.params, result.scaler)
-    lines = ["epoch,mse"] + [f"{i + 1},{m!r}" for i, m in enumerate(result.loss_history)]
-    (out_dir / "loss_history.csv").write_text("\n".join(lines) + "\n")
+    out_dir = Path(args.out)
+    samples, result = train_pooled(zones, cfg, out_dir)
     print(
-        f"trained on {features.shape[0]} samples: "
+        f"trained on {samples} samples: "
         f"epoch1 mse={result.loss_history[0]:.3e}, "
         f"final mse={result.loss_history[-1]:.3e}, "
         f"validation mse={result.validation_mse:.3e}"
@@ -207,14 +194,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.config:
-        cfg = PipelineConfig.from_json(args.config)
-        if args.seed is not None:
-            cfg = PipelineConfig.from_dict(
-                {**json.loads(Path(args.config).read_text()), "seed": args.seed}
-            )
-    else:
-        cfg = PipelineConfig(seed=args.seed if args.seed is not None else 0)
+    raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    if args.seed is not None:
+        raw = {**raw, "seed": args.seed}
+    cfg = PipelineConfig.from_dict(raw)
     try:
         run_pipeline(
             cfg,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,13 +21,14 @@ import numpy as np
 
 from .contact import ContactModel, fit_exponential, generate_zone_data, save_zone_csv
 from .controller import AdaptationModule, HybridConfig
-from .mlp import TrainConfig, build_dataset, save_dataset, save_model, train
+from .mlp import TrainConfig, TrainResult, build_dataset, save_dataset, save_model, train
 from .policy import (
     CostParams,
     DEFAULT_GAMMA,
     DEFAULT_MAX_SWEEPS,
     DEFAULT_TOL,
     GridSpec,
+    PolicyTable,
     default_references,
     load_policy,
     save_policy,
@@ -63,6 +65,10 @@ class SolveConfig:
     tol: float = DEFAULT_TOL
     max_sweeps: int = DEFAULT_MAX_SWEEPS
 
+    def __post_init__(self) -> None:
+        if not self.references:
+            raise ValueError("solve.references must not be empty")
+
 
 @dataclass(frozen=True)
 class EvalConfig:
@@ -72,6 +78,11 @@ class EvalConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
     sensor_noise_sigma: float = 0.05
     episode_duration: float = 5.0
+
+    def __post_init__(self) -> None:
+        for key in ("references", "seeds"):
+            if not getattr(self, key):
+                raise ValueError(f"eval.{key} must not be empty")
 
 
 @dataclass(frozen=True)
@@ -97,6 +108,8 @@ class PipelineConfig:
             unknown = set(block) - known
             if unknown:
                 raise ValueError(f"config section {key!r}: unknown keys {sorted(unknown)}")
+            if key == "train" and "seed" in block:
+                raise ValueError("train.seed is not settable; set the top-level 'seed' instead")
             coerced = {
                 k: tuple(v) if isinstance(v, list) else v for k, v in block.items()
             }
@@ -116,10 +129,6 @@ class PipelineConfig:
             eval=sub("eval", EvalConfig),
             hybrid=sub("hybrid", HybridConfig),
         )
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "PipelineConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 class StageError(RuntimeError):
@@ -166,6 +175,55 @@ def run_fit_stage(cfg: PipelineConfig, out_dir: Path) -> dict:
     return summary
 
 
+def solve_policies(
+    model: ContactModel,
+    solve: SolveConfig,
+    grid: GridSpec,
+    cost: CostParams,
+    policy_dir: str | Path,
+) -> Iterator[PolicyTable]:
+    """Solve each reference in order, write its policy pair, and yield its table."""
+    for reference in solve.references:
+        table = solve_policy(
+            model, reference, grid, cost,
+            gamma=solve.gamma, tol=solve.tol, max_sweeps=solve.max_sweeps,
+        )
+        save_policy(policy_dir, table, grid, cost, gamma=solve.gamma)
+        yield table
+
+
+def load_policies(policy_dir: str | Path) -> list[PolicyTable]:
+    """Every ``policy_r*.csv`` table under policy_dir, sorted by reference."""
+    paths = sorted(
+        Path(policy_dir).glob("policy_r*.csv"),
+        key=lambda p: float(p.stem.removeprefix("policy_r")),
+    )
+    return [load_policy(p)[0] for p in paths]
+
+
+def train_pooled(
+    zones: list[tuple[list[PolicyTable], ContactModel]],
+    config: TrainConfig,
+    out_dir: str | Path,
+) -> tuple[int, TrainResult]:
+    """Pool the zones' policies into one dataset and train the network on it.
+
+    Writes dataset.csv, adaptation.json and loss_history.csv under out_dir;
+    returns (sample count, training result).
+    """
+    blocks = [build_dataset(tables, model) for tables, model in zones]
+    features = np.concatenate([f for f, _ in blocks])
+    labels = np.concatenate([y for _, y in blocks])
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_dataset(out_dir / "dataset.csv", features, labels)
+    result = train(features, labels, config)
+    save_model(out_dir / "adaptation.json", result.params, result.scaler)
+    lines = ["epoch,mse"] + [f"{i + 1},{mse!r}" for i, mse in enumerate(result.loss_history)]
+    (out_dir / "loss_history.csv").write_text("\n".join(lines) + "\n")
+    return int(features.shape[0]), result
+
+
 def run_solve_stage(cfg: PipelineConfig, out_dir: Path, allow_unconverged: bool = False) -> dict:
     """Solve the gain policy sweep for every fitted zone model."""
     model_dir = out_dir / "models"
@@ -177,21 +235,9 @@ def run_solve_stage(cfg: PipelineConfig, out_dir: Path, allow_unconverged: bool 
             raise StageError("solve", f"missing fitted model {model_path}")
         model = ContactModel.from_json(model_path)
         policy_dir = out_dir / "policies" / name
-        sweeps = []
-        for reference in cfg.solve.references:
-            table = solve_policy(
-                model,
-                reference,
-                cfg.grid,
-                cfg.cost,
-                gamma=cfg.solve.gamma,
-                tol=cfg.solve.tol,
-                max_sweeps=cfg.solve.max_sweeps,
-            )
-            save_policy(policy_dir, table, cfg.grid, cfg.cost, gamma=cfg.solve.gamma)
-            sweeps.append(table.sweeps)
-            if not table.converged:
-                unconverged.append((name, reference))
+        tables = list(solve_policies(model, cfg.solve, cfg.grid, cfg.cost, policy_dir))
+        unconverged += [(name, t.reference) for t in tables if not t.converged]
+        sweeps = [t.sweeps for t in tables]
         summary[name] = {
             "references": len(cfg.solve.references),
             "max_sweeps": max(sweeps),
@@ -206,39 +252,24 @@ def run_solve_stage(cfg: PipelineConfig, out_dir: Path, allow_unconverged: bool 
 
 def run_train_stage(cfg: PipelineConfig, out_dir: Path) -> dict:
     """Pool all zones' policies into one dataset and train the network."""
-    features_blocks = []
-    labels_blocks = []
+    zones = []
     for name in TRAINING_ZONES:
         model_path = out_dir / "models" / f"{name}.json"
         policy_dir = out_dir / "policies" / name
         if not model_path.exists() or not policy_dir.is_dir():
             raise StageError("train", f"missing solve outputs for {name}")
         model = ContactModel.from_json(model_path)
-        paths = sorted(
-            policy_dir.glob("policy_r*.csv"),
-            key=lambda p: float(p.stem.removeprefix("policy_r")),
-        )
-        tables = [load_policy(p)[0] for p in paths]
+        tables = load_policies(policy_dir)
         if not tables:
             raise StageError("train", f"no policies found under {policy_dir}")
-        zone_features, zone_labels = build_dataset(tables, model)
-        features_blocks.append(zone_features)
-        labels_blocks.append(zone_labels)
-    features = np.concatenate(features_blocks)
-    labels = np.concatenate(labels_blocks)
-    save_dataset(out_dir / "dataset.csv", features, labels)
+        zones.append((tables, model))
     train_cfg = dataclasses.replace(cfg.train, seed=derive_seed(cfg.seed, STAGE_TRAIN))
     try:
-        result = train(features, labels, train_cfg)
+        samples, result = train_pooled(zones, train_cfg, out_dir)
     except ValueError as exc:
         raise StageError("train", str(exc)) from exc
-    save_model(out_dir / "adaptation.json", result.params, result.scaler)
-    lines = ["epoch,mse"] + [
-        f"{i + 1},{mse!r}" for i, mse in enumerate(result.loss_history)
-    ]
-    (out_dir / "loss_history.csv").write_text("\n".join(lines) + "\n")
     return {
-        "samples": int(features.shape[0]),
+        "samples": samples,
         "epochs": len(result.loss_history),
         "first_epoch_mse": result.loss_history[0],
         "final_epoch_mse": result.loss_history[-1],

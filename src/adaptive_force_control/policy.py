@@ -353,21 +353,6 @@ def default_references() -> list[float]:
     return [4.0 + 0.5 * k for k in range(41)]
 
 
-def solve_policy_sweep(
-    model: ContactModel,
-    references: list[float] | None = None,
-    grid: GridSpec | None = None,
-    cost: CostParams | None = None,
-    **kwargs,
-) -> list[PolicyTable]:
-    """Solve one policy per reference force; defaults to the standard sweep."""
-    if references is None:
-        references = default_references()
-    if len(references) == 0:
-        raise ValueError("references must be non-empty")
-    return [solve_policy(model, r, grid, cost, **kwargs) for r in references]
-
-
 def policy_basename(reference: float) -> str:
     """Canonical file stem for one reference's policy artifacts."""
     return f"policy_r{reference:g}"

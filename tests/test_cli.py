@@ -22,7 +22,9 @@ from adaptive_force_control.contact import (
     save_zone_csv,
 )
 from adaptive_force_control.cli import _parse_references
+from adaptive_force_control.pipeline import STAGE_TRAIN
 from adaptive_force_control.policy import load_policy
+from adaptive_force_control.sim import derive_seed
 from adaptive_force_control.zones import get_zone
 
 
@@ -277,6 +279,15 @@ class TestSolve:
         assert rc == 2
         assert "error:" in err
 
+    def test_empty_reference_list_exits_2(self, capsys, tmp_path, zone1_model_path):
+        out = tmp_path / "never_created"
+        rc, _, err = run_cli(
+            capsys, ["solve", "--model", str(zone1_model_path), "--r", ",", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "references must not be empty" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained_dir):
@@ -343,6 +354,26 @@ class TestTrain:
         )
         assert rc == 2
         assert "no policy files" in err
+
+    def test_matches_reproduce_train_stage(self, capsys, tmp_path, micro_run):
+        # Same policies, models, schedule and derived stage seed as the
+        # reproduce run: the CLI must write the identical training artifacts.
+        zones = ("zone1", "zone2", "zone3")
+        rc, _, _ = run_cli(
+            capsys,
+            [
+                "train",
+                "--policies", *(str(micro_run / "policies" / z) for z in zones),
+                "--model", *(str(micro_run / "models" / f"{z}.json") for z in zones),
+                "--epochs", "2",
+                "--batch-size", "8",
+                "--seed", str(derive_seed(MICRO_CONFIG["seed"], STAGE_TRAIN)),
+                "--out", str(tmp_path),
+            ],
+        )
+        assert rc == 0
+        for name in ("dataset.csv", "adaptation.json", "loss_history.csv"):
+            assert (tmp_path / name).read_bytes() == (micro_run / name).read_bytes(), name
 
 
 class TestSimulate:
@@ -554,6 +585,29 @@ class TestReproduce:
         )
         assert rc == 2
         assert "unknown config keys" in err
+
+    def test_train_seed_exits_2(self, capsys, tmp_path):
+        cfg_path = tmp_path / "seeded.json"
+        cfg_path.write_text(json.dumps({**MICRO_CONFIG, "train": {"seed": 123}}))
+        out = tmp_path / "x"
+        rc, _, err = run_cli(capsys, ["reproduce", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert "train.seed" in err
+        assert "top-level 'seed'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key", [("solve", "references"), ("eval", "references"), ("eval", "seeds")]
+    )
+    def test_empty_list_exits_2(self, capsys, tmp_path, section, key):
+        cfg = {**MICRO_CONFIG, section: {**MICRO_CONFIG[section], key: []}}
+        cfg_path = tmp_path / "empty.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "x"
+        rc, _, err = run_cli(capsys, ["reproduce", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert f"{section}.{key}" in err
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, capsys, tmp_path):
         rc, _, err = run_cli(

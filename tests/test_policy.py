@@ -19,11 +19,11 @@ from adaptive_force_control import (
     policy_basename,
     save_policy,
     solve_policy,
-    solve_policy_sweep,
     solve_policy_tabular,
     stage_cost,
     step_dynamics,
 )
+from adaptive_force_control.pipeline import SolveConfig, solve_policies
 
 ZONE = ContactModel(a=2.0, b=-100.0, c=-2.0)
 
@@ -285,15 +285,23 @@ class TestSolvePolicyWrapper:
             x = step_dynamics(zone, x, float(table.kp_at(x)), reference, self.GRID.dt)
         assert abs(zone.force_at(x) - reference) < 0.05 * reference
 
-    def test_sweep_of_one_equals_single_solve(self):
-        [table] = solve_policy_sweep(ZONE, [5.0], self.GRID)
+    def test_sweep_of_one_equals_single_solve(self, tmp_path):
+        cost = CostParams()
+        [table] = solve_policies(
+            ZONE, SolveConfig(references=(5.0,)), self.GRID, cost, tmp_path / "sweep"
+        )
         single = solve_policy(ZONE, 5.0, self.GRID)
         assert np.array_equal(table.kp_values, single.kp_values)
         assert np.array_equal(table.value_function, single.value_function)
+        # The pair it writes is the one save_policy writes for a single solve.
+        save_policy(tmp_path / "single", single, self.GRID, cost)
+        for suffix in (".csv", ".json"):
+            written = (tmp_path / "sweep" / f"policy_r5{suffix}").read_bytes()
+            assert written == (tmp_path / "single" / f"policy_r5{suffix}").read_bytes()
 
     def test_empty_sweep_rejected(self):
-        with pytest.raises(ValueError):
-            solve_policy_sweep(ZONE, [])
+        with pytest.raises(ValueError, match="solve.references"):
+            SolveConfig(references=())
 
     def test_default_references(self):
         refs = default_references()
