@@ -195,6 +195,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_reproduce(args) -> int:
     raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(raw, dict):
+        raise ValueError("config must be a JSON object")
     if args.seed is not None:
         raw = {**raw, "seed": args.seed}
     cfg = PipelineConfig.from_dict(raw)

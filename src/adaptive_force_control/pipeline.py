@@ -194,10 +194,14 @@ def solve_policies(
 
 def load_policies(policy_dir: str | Path) -> list[PolicyTable]:
     """Every ``policy_r*.csv`` table under policy_dir, sorted by reference."""
-    paths = sorted(
-        Path(policy_dir).glob("policy_r*.csv"),
-        key=lambda p: float(p.stem.removeprefix("policy_r")),
-    )
+
+    def reference(path: Path) -> float:
+        try:
+            return float(path.stem.removeprefix("policy_r"))
+        except ValueError:
+            raise ValueError(f"{path}: not a policy file name (policy_r<reference>.csv)") from None
+
+    paths = sorted(Path(policy_dir).glob("policy_r*.csv"), key=reference)
     return [load_policy(p)[0] for p in paths]
 
 
@@ -259,7 +263,10 @@ def run_train_stage(cfg: PipelineConfig, out_dir: Path) -> dict:
         if not model_path.exists() or not policy_dir.is_dir():
             raise StageError("train", f"missing solve outputs for {name}")
         model = ContactModel.from_json(model_path)
-        tables = load_policies(policy_dir)
+        try:
+            tables = load_policies(policy_dir)
+        except ValueError as exc:
+            raise StageError("train", str(exc)) from exc
         if not tables:
             raise StageError("train", f"no policies found under {policy_dir}")
         zones.append((tables, model))

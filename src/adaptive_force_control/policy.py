@@ -18,12 +18,9 @@ import numpy as np
 
 from .contact import ContactModel
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but
-    _HAVE_NUMBA = False  # the pure-numpy path keeps the module importable.
+# One numpy kernel solves every policy; benchmarks/run.py still reads this
+# flag to name the backend in its environment record.
+_HAVE_NUMBA = False
 
 # Discounting below 1 gives the interpolated Bellman operator a true fixed
 # point on equilibrium-free grids; 0.995 keeps the effective horizon (~6 s)
@@ -147,8 +144,12 @@ def stage_cost(
     return dt * (cost.a * err * err + cost.b * kp * kp)
 
 
-def _vi_numpy(x, forces, kp, reference, dt, cost_a, cost_b, gamma, tol, max_sweeps):
-    # Mirror of the jitted kernel, identical arithmetic and op order.
+def _value_iteration(x, forces, kp, reference, dt, cost_a, cost_b, gamma, tol, max_sweeps):
+    """Value iteration over the (node, gain) pairs that can attain a row minimum.
+
+    Returns (V, policy, sweeps, converged, monotone), bit for bit what the
+    Bellman backup over every gain gives, in the same operation order.
+    """
     n = x.shape[0]
     x_min = x[0]
     x_max = x[n - 1]
@@ -156,115 +157,56 @@ def _vi_numpy(x, forces, kp, reference, dt, cost_a, cost_b, gamma, tol, max_swee
     err = reference - forces
     acost = dt * cost_a * err * err
     bcost = dt * cost_b * kp * kp
-    nx = x[:, None] + dt * kp[None, :] * err[:, None]
+    # x + dt*kp*err, summed in place (addition commutes bit for bit) to
+    # hold one n x m float array rather than two.
+    nx = dt * kp[None, :] * err[:, None]
+    nx += x[:, None]
     np.clip(nx, x_min, x_max, out=nx)
-    pos = (nx - x_min) / h
-    i0 = np.minimum(np.floor(pos).astype(np.int64), n - 2)
-    w = pos - i0
+
+    def interpolation(depth):
+        pos = (depth - x_min) / h
+        i0 = np.minimum(np.floor(pos).astype(np.int64), n - 2)
+        return i0, pos - i0
+
+    # Exact action elimination: the gains of a row whose successor is the
+    # same grid edge share one interpolated value, and float addition is
+    # monotone, so only the cheapest of them (the first on a tie) can attain
+    # the row minimum.  Every gain with an interior successor is kept.
+    keep = (nx > x_min) & (nx < x_max)
+    by_cost = np.argsort(bcost, kind="stable")
+    for edge in (x_min, x_max):
+        on_edge = (nx == edge)[:, by_cost]
+        hit = np.flatnonzero(on_edge.any(axis=1))
+        keep[hit, by_cost[np.argmax(on_edge[hit], axis=1)]] = True
+    rows, cols = np.nonzero(keep)
+    row_starts = np.searchsorted(rows, np.arange(n))
+    ab = acost[rows] + bcost[cols]
+    i0, w = interpolation(nx[rows, cols])
+    i1 = i0 + 1
+    w0 = 1.0 - w
+    del keep, rows, cols
+
     v = np.zeros(n)
-    v_new = np.zeros(n)
     sweeps = 0
     converged = False
     monotone = True
     while sweeps < max_sweeps:
-        max_dv = 0.0
-        for i in range(n):
-            vn = v[i0[i]] * (1.0 - w[i]) + v[i0[i] + 1] * w[i]
-            q = acost[i] + bcost + gamma * vn
-            best = q[np.argmin(q)]
-            v_new[i] = best
-            if best < v[i]:
-                monotone = False
-            dv = abs(best - v[i])
-            if dv > max_dv:
-                max_dv = dv
-        v, v_new = v_new, v
+        v_new = np.minimum.reduceat(ab + gamma * (v[i0] * w0 + v[i1] * w), row_starts)
+        monotone = monotone and not np.any(v_new < v)
+        max_dv = np.max(np.abs(v_new - v))
+        v = v_new
         sweeps += 1
         if max_dv < tol:
             converged = True
             break
+    # The greedy policy ranges over every gain, so a tie goes to the first
+    # tied entry of kp whatever its order.
     pol = np.empty(n)
     for i in range(n):
-        vn = v[i0[i]] * (1.0 - w[i]) + v[i0[i] + 1] * w[i]
-        q = acost[i] + bcost + gamma * vn
+        i0, w = interpolation(nx[i])
+        q = acost[i] + bcost + gamma * (v[i0] * (1.0 - w) + v[i0 + 1] * w)
         pol[i] = kp[np.argmin(q)]
     return v, pol, sweeps, converged, monotone
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _vi_kernel(x, forces, kp, reference, dt, cost_a, cost_b, gamma, tol, max_sweeps):
-        n = x.shape[0]
-        m = kp.shape[0]
-        x_min = x[0]
-        x_max = x[n - 1]
-        h = (x_max - x_min) / (n - 1)
-        err = np.empty(n)
-        acost = np.empty(n)
-        for i in range(n):
-            err[i] = reference - forces[i]
-            acost[i] = dt * cost_a * err[i] * err[i]
-        bcost = np.empty(m)
-        for j in range(m):
-            bcost[j] = dt * cost_b * kp[j] * kp[j]
-        v = np.zeros(n)
-        v_new = np.zeros(n)
-        sweeps = 0
-        converged = False
-        monotone = True
-        while sweeps < max_sweeps:
-            max_dv = 0.0
-            for i in range(n):
-                best = np.inf
-                for j in range(m):
-                    nx = x[i] + dt * kp[j] * err[i]
-                    if nx < x_min:
-                        nx = x_min
-                    elif nx > x_max:
-                        nx = x_max
-                    pos = (nx - x_min) / h
-                    i0 = int(math.floor(pos))
-                    if i0 > n - 2:
-                        i0 = n - 2
-                    w = pos - i0
-                    vn = v[i0] * (1.0 - w) + v[i0 + 1] * w
-                    q = acost[i] + bcost[j] + gamma * vn
-                    if q < best:
-                        best = q
-                v_new[i] = best
-                if best < v[i]:
-                    monotone = False
-                dv = abs(best - v[i])
-                if dv > max_dv:
-                    max_dv = dv
-            v, v_new = v_new, v
-            sweeps += 1
-            if max_dv < tol:
-                converged = True
-                break
-        pol = np.empty(n)
-        for i in range(n):
-            best = np.inf
-            bj = 0
-            for j in range(m):
-                nx = x[i] + dt * kp[j] * err[i]
-                if nx < x_min:
-                    nx = x_min
-                elif nx > x_max:
-                    nx = x_max
-                pos = (nx - x_min) / h
-                i0 = int(math.floor(pos))
-                if i0 > n - 2:
-                    i0 = n - 2
-                w = pos - i0
-                vn = v[i0] * (1.0 - w) + v[i0 + 1] * w
-                q = acost[i] + bcost[j] + gamma * vn
-                if q < best:
-                    best = q
-                    bj = j
-            pol[i] = kp[bj]
-        return v, pol, sweeps, converged, monotone
 
 
 def solve_policy_tabular(
@@ -277,13 +219,13 @@ def solve_policy_tabular(
     gamma: float = DEFAULT_GAMMA,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    use_numba: bool = True,
 ) -> PolicyTable:
     """Fitted value iteration on explicit per-node forces.
 
     Iterates the interpolated Bellman backup from V = 0 until max|dV| < tol
     or the sweep cap; the greedy policy is extracted against the final value
-    function with ties broken toward the smaller gain.  Hitting the cap
+    function with ties broken toward the earlier entry of kp_grid (the
+    smaller gain when kp_grid is increasing).  Hitting the cap
     returns converged=False rather than raising.  The depth grid must be
     uniformly spaced (the interpolation rule indexes by spacing).
     """
@@ -295,6 +237,8 @@ def solve_policy_tabular(
         raise ValueError("x and forces must be matching 1-D arrays of length >= 2")
     if kp_grid.ndim != 1 or kp_grid.size < 2:
         raise ValueError("kp_grid must be a 1-D array of length >= 2")
+    if not (np.all(np.isfinite(forces)) and np.all(np.isfinite(kp_grid))):
+        raise ValueError("forces and kp_grid must be finite")
     spacing = np.diff(x)
     if spacing[0] <= 0.0 or not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
         raise ValueError("x must be uniformly spaced and increasing")
@@ -306,8 +250,7 @@ def solve_policy_tabular(
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     if tol <= 0.0 or max_sweeps < 1:
         raise ValueError("tol must be positive and max_sweeps at least 1")
-    runner = _vi_kernel if (use_numba and _HAVE_NUMBA) else _vi_numpy
-    v, pol, sweeps, converged, monotone = runner(
+    v, pol, sweeps, converged, monotone = _value_iteration(
         x, forces, kp_grid, reference, dt, cost.a, cost.b, gamma, tol, max_sweeps
     )
     return PolicyTable(
@@ -329,7 +272,6 @@ def solve_policy(
     gamma: float = DEFAULT_GAMMA,
     tol: float = DEFAULT_TOL,
     max_sweeps: int = DEFAULT_MAX_SWEEPS,
-    use_numba: bool = True,
 ) -> PolicyTable:
     """Solve the optimal gain schedule for one reference on a contact model."""
     grid = grid or GridSpec()
@@ -344,7 +286,6 @@ def solve_policy(
         gamma=gamma,
         tol=tol,
         max_sweeps=max_sweeps,
-        use_numba=use_numba,
     )
 
 
@@ -405,6 +346,15 @@ def load_policy(csv_path: str | Path) -> tuple[PolicyTable, dict]:
     if not sidecar_path.exists():
         raise ValueError(f"{csv_path}: missing sidecar {sidecar_path.name}")
     sidecar = json.loads(sidecar_path.read_text())
+    try:
+        x_grid = GridSpec.from_dict(sidecar["grid"]).x_grid()
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{sidecar_path}: missing or malformed grid ({exc!r})") from exc
+    if len(data) != x_grid.size or not np.array_equal(data[:, 0], x_grid):
+        raise ValueError(
+            f"{csv_path}: {len(data)} rows do not match the "
+            f"{x_grid.size}-node depth grid in {sidecar_path.name}"
+        )
     table = PolicyTable(
         reference=float(sidecar["reference_n"]),
         x_grid=data[:, 0],

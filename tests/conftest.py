@@ -13,12 +13,7 @@ import pytest
 
 from adaptive_force_control.controller import AdaptationModule
 from adaptive_force_control.mlp import TrainConfig, build_dataset, train
-from adaptive_force_control.policy import (
-    CostParams,
-    default_references,
-    solve_policy,
-    solve_policy_tabular,
-)
+from adaptive_force_control.policy import default_references, solve_policy
 from adaptive_force_control.zones import TRAINING_ZONES
 
 CRITERIA = {
@@ -71,16 +66,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
-def jit_warm():
-    """Compile the value-iteration kernel so timed tests measure math only."""
-    x = np.linspace(0.0, 0.01, 5)
-    solve_policy_tabular(
-        x, 500.0 * x, np.linspace(0.0, 1.0, 3), 2.0, 0.03, CostParams(), max_sweeps=50
-    )
-
-
-@pytest.fixture(scope="session")
-def full_grid_sweep(jit_warm):
+def full_grid_sweep():
     """Every training zone solved for all default references on the full grid."""
     references = default_references()
     tables = {}

@@ -23,7 +23,7 @@ from adaptive_force_control.stiffness import StiffnessDetector
 from adaptive_force_control.zones import ALL_ZONES, TRAINING_ZONES
 
 
-def test_1_oracle_equivalence(acceptance, jit_warm):
+def test_1_oracle_equivalence(acceptance):
     rng = np.random.default_rng(20260817)
     worst_value_diff = 0.0
     ok = True

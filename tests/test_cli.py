@@ -355,6 +355,22 @@ class TestTrain:
         assert rc == 2
         assert "no policy files" in err
 
+    def test_stray_policy_file_named(self, capsys, tmp_path, zone1_model_path, solved_dir):
+        policies = tmp_path / "policies"
+        shutil.copytree(solved_dir, policies)
+        shutil.copy(policies / "policy_r5.csv", policies / "policy_r5-old.csv")
+        rc, _, err = run_cli(
+            capsys,
+            [
+                "train",
+                "--policies", str(policies),
+                "--model", str(zone1_model_path),
+                "--out", str(tmp_path / "trained"),
+            ],
+        )
+        assert rc == 2
+        assert str(policies / "policy_r5-old.csv") in err
+
     def test_matches_reproduce_train_stage(self, capsys, tmp_path, micro_run):
         # Same policies, models, schedule and derived stage seed as the
         # reproduce run: the CLI must write the identical training artifacts.
@@ -546,6 +562,23 @@ class TestReproduce:
             micro_run / "metrics.csv"
         ).read_bytes()
 
+    def test_stray_policy_file_fails_train_stage(
+        self, capsys, tmp_path, micro_config_path, micro_run
+    ):
+        work = tmp_path / "stray"
+        shutil.copytree(micro_run, work)
+        for stage in ("train", "evaluate"):
+            (work / f".done_{stage}").unlink()
+        stray = work / "policies" / "zone2" / "policy_r5-old.csv"
+        shutil.copy(stray.with_name("policy_r5.csv"), stray)
+        rc, _, err = run_cli(
+            capsys,
+            ["reproduce", "--config", str(micro_config_path), "--out", str(work), "--resume"],
+        )
+        assert rc == 2
+        assert "stage 'train' failed" in err
+        assert str(stray) in err
+
     def test_solve_stage_failure_maps_to_3(self, capsys, tmp_path):
         cfg = dict(MICRO_CONFIG)
         cfg["solve"] = {"references": [5.0, 10.0], "max_sweeps": 1}
@@ -607,6 +640,19 @@ class TestReproduce:
         rc, _, err = run_cli(capsys, ["reproduce", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert f"{section}.{key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document", ["[]", "3", "null"])
+    @pytest.mark.parametrize("seed", [[], ["--seed", "3"]], ids=["no-seed", "seed"])
+    def test_non_object_config_exits_2(self, capsys, tmp_path, document, seed):
+        cfg_path = tmp_path / "scalar.json"
+        cfg_path.write_text(document)
+        out = tmp_path / "x"
+        rc, _, err = run_cli(
+            capsys, ["reproduce", "--config", str(cfg_path), *seed, "--out", str(out)]
+        )
+        assert rc == 2
+        assert "error: config must be a JSON object" in err
         assert not out.exists()
 
     def test_missing_config_exits_2(self, capsys, tmp_path):

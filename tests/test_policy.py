@@ -4,8 +4,12 @@ The solver is cross-checked against tests/dp_oracle.py, a deliberately
 independent plain-Python dynamic-programming implementation.
 """
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dp_oracle import oracle_solve
 
@@ -204,17 +208,52 @@ class TestOracleFuzz:
             )
 
 
-class TestBackendParity:
-    def test_numpy_fallback_is_bit_identical(self):
-        rng = np.random.default_rng(777)
-        for _ in range(3):
-            x, forces, kp, reference = random_instance(rng)
-            fast = solve_policy_tabular(x, forces, kp, reference, 0.03, use_numba=True)
-            slow = solve_policy_tabular(x, forces, kp, reference, 0.03, use_numba=False)
-            assert np.array_equal(fast.value_function, slow.value_function)
-            assert np.array_equal(fast.kp_values, slow.kp_values)
-            assert fast.sweeps == slow.sweeps
-            assert fast.converged == slow.converged
+# Gains drawn from a small set so that duplicates, zero and negative gains
+# come up often; the grid is short enough that large gains clamp at the
+# upper edge while zero and negative gains land on the lower edge.  A gain
+# of 1e-9 costs so little that its q rounds to the q of kp = 0.
+GAIN = st.sampled_from([-1.5, -0.5, 0.0, 0.0, 1e-9, 0.25, 0.5, 1.0, 1.5])
+
+# Unsorted gains with duplicates: every row's kp = 1 clamps at the upper
+# edge and kp = -0.5 at the lower one, where row 0's kp = 0 also lands
+# exactly, unclamped.
+EDGE_CASE = (*tiny_instance()[:2], np.array([1.0, 0.0, 1.0, -0.5, 0.0]), 25.0)
+# At the last row every gain clamps at the upper edge, and kp = 1e-9 ties
+# with the cheaper kp = 0 after rounding: the first of the two must win.
+ROUNDING_TIE = (*tiny_instance()[:2], np.array([1e-9, 0.0, 0.5]), 25.0)
+
+
+@st.composite
+def odd_instances(draw):
+    n = draw(st.integers(2, 12))
+    x = np.linspace(0.0, draw(st.sampled_from([0.002, 0.01, 0.03])), n)
+    forces = np.asarray(draw(st.lists(st.floats(-5.0, 30.0), min_size=n, max_size=n)))
+    kp = np.asarray(draw(st.lists(GAIN, min_size=2, max_size=8)))
+    return x, forces, kp, draw(st.floats(-3.0, 30.0))
+
+
+class TestOracleProperty:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        odd_instances(),
+        st.sampled_from([1.0, 0.995, 0.9]),
+        st.sampled_from([0.0, 40.0]),
+    )
+    @example(EDGE_CASE, 0.9, 40.0)
+    @example(EDGE_CASE, 0.995, 0.0)
+    @example(ROUNDING_TIE, 0.995, 40.0)
+    def test_matches_oracle(self, instance, gamma, cost_b):
+        x, forces, kp, reference = instance
+        assert_matches_oracle(
+            x, forces, kp, reference, gamma=gamma, max_sweeps=200, cost_b=cost_b
+        )
+
+    def test_edge_case_clamps_at_both_edges(self):
+        x, forces, kp, reference = EDGE_CASE
+        nx = x[:, None] + 0.03 * kp[None, :] * (reference - forces)[:, None]
+        assert np.all(nx[:, 0] > x[-1])
+        assert np.all(nx[:, 3] < x[0])
+        assert nx[0, 1] == x[0]
 
 
 class TestSolverFlags:
@@ -238,6 +277,8 @@ class TestSolverFlags:
         lambda d: d.update(x=np.linspace(0.02, 0.0, 5)),
         lambda d: d.update(forces=np.zeros(4)),
         lambda d: d.update(kp=np.array([0.5])),
+        lambda d: d.update(forces=np.array([0.0, np.nan, 5.0, 7.5, 10.0])),
+        lambda d: d.update(kp=np.array([0.0, np.inf])),
         lambda d: d.update(dt=0.0),
         lambda d: d.update(gamma=0.0),
         lambda d: d.update(gamma=1.2),
@@ -356,6 +397,26 @@ class TestPolicyIO:
         bad.write_text("x_m,kp,value\n0.0,oops,1.0\n")
         with pytest.raises(ValueError, match="row"):
             load_policy(bad)
+
+    def test_truncated_csv_rejected(self, tmp_path):
+        table = self.make_table()
+        path = save_policy(tmp_path, table, GridSpec(x_steps=5, u_steps=5), CostParams())
+        path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ValueError, match="4 rows do not match the 5-node depth grid"):
+            load_policy(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda sidecar: sidecar["grid"].update(x_max=0.04), "5-node depth grid"),
+        (lambda sidecar: sidecar.pop("grid"), "missing or malformed grid"),
+    ], ids=["depths-off-grid", "no-grid"])
+    def test_bad_sidecar_grid_rejected(self, tmp_path, edit, match):
+        table = self.make_table()
+        path = save_policy(tmp_path, table, GridSpec(x_steps=5, u_steps=5), CostParams())
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        edit(sidecar)
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=match):
+            load_policy(path)
 
     def test_kp_at_interpolates_and_clamps(self):
         table = self.make_table()
