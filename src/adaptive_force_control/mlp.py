@@ -2,8 +2,11 @@
 
 A small fully connected net, 3 inputs -> 6 -> 3 -> 1, rectifier on every
 node including the output.  Supervision comes from solved gain policies
-rewritten as feature/label pairs.  Everything here is plain numpy: the
-network is tiny and the training loop's determinism matters more than speed.
+rewritten as feature/label pairs.  Everything here is plain numpy.  The
+weights and biases, the gradient and the Adam moments each live in one flat
+vector of ``N_PARAMS`` float64 entries, so an optimizer step is a handful of
+in-place ufunc calls.  Training is bit-reproducible: a fixed config gives the
+same weights and loss history on every run.
 """
 
 from __future__ import annotations
@@ -19,6 +22,21 @@ from .contact import ContactModel
 from .policy import PolicyTable
 
 LAYER_SHAPES = ((6, 3), (3, 6), (1, 3))
+
+
+def _layout() -> tuple[list[slice], list[slice], int]:
+    """Slices of each layer's weights and biases in the flat vector."""
+    w_slices, b_slices, offset = [], [], 0
+    for rows, cols in LAYER_SHAPES:
+        w_slices.append(slice(offset, offset + rows * cols))
+        offset += rows * cols
+        b_slices.append(slice(offset, offset + rows))
+        offset += rows
+    return w_slices, b_slices, offset
+
+
+# Flat order: w1, b1, w2, b2, w3, b3 (49 entries).
+_W_SLICES, _B_SLICES, N_PARAMS = _layout()
 
 # Gains handed to the controller stay inside the solver's input range.
 KP_MIN = 0.0
@@ -53,29 +71,40 @@ def fit_scaler(features: np.ndarray) -> FeatureScaler:
     return FeatureScaler(mean=mean, std=std)
 
 
-@dataclass
 class MlpParams:
-    """Weights and biases of the three affine layers."""
+    """Weights and biases of the three affine layers.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``weights`` and ``biases`` are C-contiguous views into ``flat``, one
+    float64 vector of ``N_PARAMS`` entries.  The constructor copies and
+    validates its arrays; :meth:`view` wraps a buffer without checks.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.weights) != 3 or len(self.biases) != 3:
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
+        if len(weights) != 3 or len(biases) != 3:
             raise ValueError("expected exactly 3 layers")
-        for k, (w, b, shape) in enumerate(zip(self.weights, self.biases, LAYER_SHAPES), 1):
+        flat = np.empty(N_PARAMS)
+        for k, (w, b, shape) in enumerate(zip(weights, biases, LAYER_SHAPES), 1):
             if w.shape != shape:
                 raise ValueError(f"layer {k} weight shape {w.shape}, expected {shape}")
             if b.shape != (shape[0],):
                 raise ValueError(f"layer {k} bias shape {b.shape}, expected ({shape[0]},)")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {k} contains non-finite entries")
+            flat[_W_SLICES[k - 1]] = w.ravel()
+            flat[_B_SLICES[k - 1]] = b
+        self._bind(flat)
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
+    @classmethod
+    def view(cls, flat: np.ndarray) -> "MlpParams":
+        """Layer views into a float64 vector of ``N_PARAMS`` entries, unchecked."""
+        params = cls.__new__(cls)
+        params._bind(flat)
+        return params
+
+    def _bind(self, flat: np.ndarray) -> None:
+        self.flat = flat
+        self.weights = [flat[s].reshape(shape) for s, shape in zip(_W_SLICES, LAYER_SHAPES)]
+        self.biases = [flat[s] for s in _B_SLICES]
 
 
 def init_params(seed: int = 0) -> MlpParams:
@@ -127,17 +156,24 @@ def loss_and_gradient(
     features: np.ndarray,
     labels: np.ndarray,
     scaler: FeatureScaler | None = None,
+    grad: MlpParams | None = None,
 ) -> tuple[float, MlpParams]:
     """Batch MSE and its exact gradient by reverse-mode differentiation.
 
     The inference clamp is not part of the training path; the output
     rectifier is.  Pass scaler=None when features are already standardized.
+    The gradient is written into ``grad`` when given (training reuses one
+    buffer), else into a fresh one; either way it is returned.
     """
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("batch must be a non-empty (n, 3) array")
     x = scaler.transform(features) if scaler is not None else features
     y = np.asarray(labels, dtype=float)
+    if grad is None:
+        grad = MlpParams.view(np.empty(N_PARAMS))
     w1, w2, w3 = params.weights
+    gw1, gw2, gw3 = grad.weights
+    gb1, gb2, gb3 = grad.biases
     z1, a1, z2, a2, z3, a3 = forward_trace(params, x)
     n = x.shape[0]
     resid = a3[:, 0] - y
@@ -145,11 +181,13 @@ def loss_and_gradient(
     d3 = (2.0 / n) * resid[:, None] * (z3 > 0.0)
     d2 = (d3 @ w3) * (z2 > 0.0)
     d1 = (d2 @ w2) * (z1 > 0.0)
-    grads = MlpParams(
-        weights=[d1.T @ x, d2.T @ a1, d3.T @ a2],
-        biases=[d1.sum(axis=0), d2.sum(axis=0), d3.sum(axis=0)],
-    )
-    return mse, grads
+    np.matmul(d1.T, x, out=gw1)
+    np.matmul(d2.T, a1, out=gw2)
+    np.matmul(d3.T, a2, out=gw3)
+    np.add.reduce(d1, axis=0, out=gb1)
+    np.add.reduce(d2, axis=0, out=gb2)
+    np.add.reduce(d3, axis=0, out=gb3)
+    return mse, grad
 
 
 @dataclass(frozen=True)
@@ -246,38 +284,47 @@ def train(features: np.ndarray, labels: np.ndarray, config: TrainConfig) -> Trai
     y_train = labels[train_idx]
 
     params = init_params(config.seed)
-    m_state = MlpParams(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-    v_state = m_state.copy()
+    grad = MlpParams.view(np.empty(N_PARAMS))
+    # Adam on the flat vectors, in place.  Each element must see the
+    # operations in this order, m = m*b1 + (1-b1)*g, v = v*b2 + ((1-b2)*g)*g,
+    # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps): any other rounds differently
+    # and changes the trained weights (tests/adam_oracle.py is the reference).
+    p, g = params.flat, grad.flat
+    m, v = np.zeros(N_PARAMS), np.zeros(N_PARAMS)
+    tmp, upd = np.empty(N_PARAMS), np.empty(N_PARAMS)
+    beta1, beta2 = config.beta1, config.beta2
+    lr, eps = config.learning_rate, config.eps
     step = 0
     mini = config.batch_size // config.mini_batches_per_batch
+    # Consecutive mini-batch slices of the epoch's shuffle, up to the last full batch.
+    used = train_idx.size - train_idx.size % config.batch_size
     loss_history: list[float] = []
     for _ in range(config.epochs):
         perm = rng.permutation(train_idx.size)
+        x_epoch, y_epoch = x_train[perm], y_train[perm]
         epoch_losses = []
-        for start in range(0, train_idx.size - config.batch_size + 1, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            for k in range(config.mini_batches_per_batch):
-                sub = batch[k * mini : (k + 1) * mini]
-                mse, grads = loss_and_gradient(params, x_train[sub], y_train[sub])
-                epoch_losses.append(mse)
-                step += 1
-                bc1 = 1.0 - config.beta1**step
-                bc2 = 1.0 - config.beta2**step
-                for group in ("weights", "biases"):
-                    for p, g, m, v in zip(
-                        getattr(params, group),
-                        getattr(grads, group),
-                        getattr(m_state, group),
-                        getattr(v_state, group),
-                    ):
-                        m *= config.beta1
-                        m += (1.0 - config.beta1) * g
-                        v *= config.beta2
-                        v += (1.0 - config.beta2) * g * g
-                        p -= config.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+        for start in range(0, used, mini):
+            mse, _ = loss_and_gradient(
+                params, x_epoch[start : start + mini], y_epoch[start : start + mini], grad=grad
+            )
+            epoch_losses.append(mse)
+            step += 1
+            bc1 = 1.0 - beta1**step
+            bc2 = 1.0 - beta2**step
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=tmp)
+            m += tmp
+            v *= beta2
+            np.multiply(g, 1.0 - beta2, out=tmp)
+            tmp *= g
+            v += tmp
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += eps
+            np.divide(m, bc1, out=upd)
+            upd *= lr
+            upd /= tmp
+            p -= upd
         loss_history.append(float(np.mean(epoch_losses)))
 
     if n_val > 0:

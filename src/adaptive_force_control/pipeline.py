@@ -113,14 +113,21 @@ class PipelineConfig:
             coerced = {
                 k: tuple(v) if isinstance(v, list) else v for k, v in block.items()
             }
-            return klass(**coerced)
+            try:
+                return klass(**coerced)
+            except TypeError as exc:
+                raise ValueError(f"config section {key!r}: wrongly typed value ({exc})") from exc
 
         known_top = {"seed", "grid", "cost", "data", "solve", "train", "eval", "hybrid"}
         unknown_top = set(raw) - known_top
         if unknown_top:
             raise ValueError(f"unknown config keys {sorted(unknown_top)}")
+        try:
+            seed = int(raw.get("seed", 0))
+        except TypeError as exc:
+            raise ValueError(f"config key 'seed': wrongly typed value ({exc})") from exc
         return cls(
-            seed=int(raw.get("seed", 0)),
+            seed=seed,
             grid=sub("grid", GridSpec),
             cost=sub("cost", CostParams),
             data=sub("data", DataConfig),

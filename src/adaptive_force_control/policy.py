@@ -345,7 +345,10 @@ def load_policy(csv_path: str | Path) -> tuple[PolicyTable, dict]:
     sidecar_path = csv_path.with_suffix(".json")
     if not sidecar_path.exists():
         raise ValueError(f"{csv_path}: missing sidecar {sidecar_path.name}")
-    sidecar = json.loads(sidecar_path.read_text())
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{sidecar_path}: invalid JSON at line {exc.lineno}") from exc
     try:
         x_grid = GridSpec.from_dict(sidecar["grid"]).x_grid()
     except (KeyError, TypeError) as exc:
@@ -355,13 +358,19 @@ def load_policy(csv_path: str | Path) -> tuple[PolicyTable, dict]:
             f"{csv_path}: {len(data)} rows do not match the "
             f"{x_grid.size}-node depth grid in {sidecar_path.name}"
         )
+    try:
+        reference = float(sidecar["reference_n"])
+        sweeps = int(sidecar["sweeps"])
+        converged = bool(sidecar["converged"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{sidecar_path}: missing or malformed field ({exc!r})") from exc
     table = PolicyTable(
-        reference=float(sidecar["reference_n"]),
+        reference=reference,
         x_grid=data[:, 0],
         kp_values=data[:, 1],
         value_function=data[:, 2],
-        sweeps=int(sidecar["sweeps"]),
-        converged=bool(sidecar["converged"]),
+        sweeps=sweeps,
+        converged=converged,
         monotone=bool(sidecar.get("monotone", True)),
     )
     return table, sidecar

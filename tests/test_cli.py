@@ -89,6 +89,13 @@ MICRO_CONFIG = {
 }
 
 
+# sha256 over "<relative path>\0<file sha256>\n" for every file of the
+# MICRO_CONFIG reproduce tree in sorted path order.  Recorded before the
+# training loop moved to flat parameter vectors (numpy 2.4 with its bundled
+# OpenBLAS); any change to what the pipeline computes or writes moves it.
+MICRO_TREE_DIGEST = "a1819246598ba6b402e87ef86232082a7c133f995ec391e142a3787545706dc2"
+
+
 @pytest.fixture(scope="module")
 def micro_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "micro.json"
@@ -505,6 +512,12 @@ class TestReproduce:
         assert "[done] summary written to" in out
         assert tree_digest(out2) == tree_digest(micro_run)
 
+    def test_tree_matches_golden_digest(self, micro_run):
+        digest = hashlib.sha256()
+        for rel, file_digest in tree_digest(micro_run).items():
+            digest.update(f"{rel}\0{file_digest}\n".encode())
+        assert digest.hexdigest() == MICRO_TREE_DIGEST
+
     def test_dry_run_writes_nothing(self, capsys, tmp_path, micro_config_path):
         target = tmp_path / "never_created"
         rc, out, _ = run_cli(
@@ -618,6 +631,23 @@ class TestReproduce:
         )
         assert rc == 2
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize("document,where", [
+        ({"grid": {"x_steps": "41"}}, "config section 'grid'"),
+        ({"train": {"epochs": "2"}}, "config section 'train'"),
+        ({"cost": {"a": [1.0]}}, "config section 'cost'"),
+        ({"seed": [1]}, "config key 'seed'"),
+    ], ids=["grid", "train", "cost", "seed"])
+    def test_wrongly_typed_value_exits_2(self, capsys, tmp_path, document, where):
+        cfg_path = tmp_path / "typed.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "x"
+        rc, _, err = run_cli(
+            capsys, ["reproduce", "--config", str(cfg_path), "--out", str(out), "--dry-run"]
+        )
+        assert rc == 2
+        assert f"{where}: wrongly typed value" in err
+        assert not out.exists()
 
     def test_train_seed_exits_2(self, capsys, tmp_path):
         cfg_path = tmp_path / "seeded.json"

@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from adam_oracle import oracle_train
 from fd_oracle import draw_checkable_case, max_relative_gradient_error
 
 from adaptive_force_control import (
+    AdaptationModule,
     ContactModel,
     FeatureScaler,
     GridSpec,
@@ -43,6 +47,19 @@ def zero_params():
 
 def identity_scaler():
     return FeatureScaler(mean=np.zeros(3), std=np.ones(3))
+
+
+def assert_matches_adam_oracle(features, labels, config):
+    """``train`` reproduces the per-array reference loop bit for bit."""
+    result = train(features, labels, config)
+    weights, biases, loss_history, validation_mse = oracle_train(features, labels, config)
+    for got, want in zip(result.params.weights + result.params.biases, weights + biases):
+        assert np.array_equal(got, want)
+    assert result.loss_history == loss_history
+    if math.isnan(validation_mse):
+        assert math.isnan(result.validation_mse)
+    else:
+        assert result.validation_mse == validation_mse
 
 
 class TestScaler:
@@ -289,6 +306,41 @@ class TestTrain:
         with pytest.raises(ValueError, match="validation_fraction"):
             train(features, labels, TrainConfig(batch_size=64, validation_fraction=0.2))
 
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.1])
+    @pytest.mark.parametrize("mini_batches", [1, 4])
+    def test_matches_adam_oracle(self, mini_batches, validation_fraction):
+        # 203 rows leave a trailing partial batch to drop in every epoch.
+        features, labels = self.small_dataset(n=203, seed=12)
+        cfg = TrainConfig(
+            epochs=4, batch_size=16, mini_batches_per_batch=mini_batches,
+            validation_fraction=validation_fraction, learning_rate=1e-2, seed=4,
+        )
+        assert_matches_adam_oracle(features, labels, cfg)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(8, 90),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        batching=st.sampled_from([(1, 1), (4, 1), (4, 4), (8, 2), (16, 4)]),
+        epochs=st.integers(1, 3),
+        validation_fraction=st.sampled_from([0.0, 0.1, 0.3]),
+        learning_rate=st.sampled_from([1e-4, 1e-2, 0.5]),
+    )
+    def test_matches_adam_oracle_property(
+        self, n, data_seed, seed, batching, epochs, validation_fraction, learning_rate
+    ):
+        batch_size, mini_batches = batching
+        rows = max(n, batch_size)
+        if rows - int(round(validation_fraction * rows)) < batch_size:
+            validation_fraction = 0.0
+        features, labels = self.small_dataset(n=rows, seed=data_seed)
+        cfg = TrainConfig(
+            epochs=epochs, batch_size=batch_size, mini_batches_per_batch=mini_batches,
+            validation_fraction=validation_fraction, learning_rate=learning_rate, seed=seed,
+        )
+        assert_matches_adam_oracle(features, labels, cfg)
+
     @pytest.mark.parametrize("kwargs", [
         {"epochs": 0},
         {"learning_rate": 0.0},
@@ -320,6 +372,20 @@ class TestModelIO:
         assert np.array_equal(
             forward(params, scaler, probes), forward(result.params, result.scaler, probes)
         )
+
+    def test_loaded_module_forwards_like_trained(self, tmp_path):
+        # Loading validates and copies into a fresh flat vector; the trained
+        # parameters are views into the optimizer's vector.  Both forward alike.
+        result = self.trained()
+        path = tmp_path / "model.json"
+        save_model(path, result.params, result.scaler)
+        trained = AdaptationModule(result.params, result.scaler)
+        loaded = AdaptationModule.load(path)
+        assert loaded.params.flat is not result.params.flat
+        assert np.array_equal(loaded.params.flat, result.params.flat)
+        rng = np.random.default_rng(100)
+        for r, f, s in rng.uniform([4.0, 0.0, 0.0], [24.0, 25.0, 900.0], (200, 3)):
+            assert loaded.kp(r, f, s) == trained.kp(r, f, s)
 
     def test_schema_fields(self, tmp_path):
         result = self.trained()

@@ -418,6 +418,28 @@ class TestPolicyIO:
         with pytest.raises(ValueError, match=match):
             load_policy(path)
 
+    @pytest.mark.parametrize("key", ["reference_n", "sweeps", "converged"])
+    def test_sidecar_missing_field_named(self, tmp_path, key):
+        table = self.make_table()
+        path = save_policy(tmp_path, table, GridSpec(x_steps=5, u_steps=5), CostParams())
+        sidecar_path = path.with_suffix(".json")
+        sidecar = json.loads(sidecar_path.read_text())
+        del sidecar[key]
+        sidecar_path.write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match="missing or malformed field") as info:
+            load_policy(path)
+        assert str(sidecar_path) in str(info.value)
+        assert key in str(info.value)
+
+    def test_sidecar_invalid_json_named(self, tmp_path):
+        table = self.make_table()
+        path = save_policy(tmp_path, table, GridSpec(x_steps=5, u_steps=5), CostParams())
+        sidecar_path = path.with_suffix(".json")
+        sidecar_path.write_text('{"reference_n": 4.5,\n  "sweeps": oops\n}')
+        with pytest.raises(ValueError, match="invalid JSON at line 2") as info:
+            load_policy(path)
+        assert str(sidecar_path) in str(info.value)
+
     def test_kp_at_interpolates_and_clamps(self):
         table = self.make_table()
         mid = 0.5 * (table.kp_values[0] + table.kp_values[1])
