@@ -21,11 +21,7 @@ from .controller import (
     HybridConfig,
     HybridController,
     Mode,
-    PidGains,
-    PidState,
-    adaptive_gain,
     hybrid_step,
-    pid_step,
 )
 from .mlp import (
     FeatureScaler,
@@ -50,8 +46,6 @@ from .policy import (
     save_policy,
     solve_policy,
     solve_policy_tabular,
-    stage_cost,
-    step_dynamics,
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .sim import (
@@ -83,8 +77,6 @@ __all__ = [
     "HybridController",
     "MlpParams",
     "Mode",
-    "PidGains",
-    "PidState",
     "PipelineConfig",
     "PolicyTable",
     "SimConfig",
@@ -94,7 +86,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "Trajectory",
-    "adaptive_gain",
     "build_dataset",
     "compute_metrics",
     "default_references",
@@ -109,7 +100,6 @@ __all__ = [
     "load_policy",
     "load_zone_csv",
     "loss_and_gradient",
-    "pid_step",
     "policy_basename",
     "run_episode",
     "run_pipeline",
@@ -118,7 +108,5 @@ __all__ = [
     "save_zone_csv",
     "solve_policy",
     "solve_policy_tabular",
-    "stage_cost",
-    "step_dynamics",
     "train",
 ]

@@ -19,9 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-# Force at zero depth should be near zero for a physically sensible zone.
-DEFAULT_SURFACE_FORCE_TOL = 0.5
-
 
 @dataclass(frozen=True)
 class ContactModel:
@@ -63,10 +60,6 @@ class ContactModel:
             raise ValueError(f"force {force} below model floor c={self.c}")
         return math.log((force - self.c) / self.a) / -self.b
 
-    def surface_force(self) -> float:
-        """Force at zero depth, a + c.  Near zero for a valid zone."""
-        return self.a + self.c
-
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(
             json.dumps({"a": self.a, "b": self.b, "c": self.c}, indent=2) + "\n"
@@ -79,14 +72,6 @@ class ContactModel:
             return cls(a=float(raw["a"]), b=float(raw["b"]), c=float(raw["c"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"contact model file {path}: missing or bad field ({exc})") from exc
-
-
-def check_surface_offset(model: ContactModel, tol: float = DEFAULT_SURFACE_FORCE_TOL) -> None:
-    """Reject models whose zero-depth force is not approximately zero."""
-    if abs(model.surface_force()) > tol:
-        raise ValueError(
-            f"|force(0)| = {abs(model.surface_force()):.3g} N exceeds tolerance {tol} N"
-        )
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
-"""Gain-scheduled PID force controller inside a three-mode hybrid machine.
+"""Gain-scheduled proportional force controller inside a three-mode hybrid machine.
 
 Mode 1 approaches the surface at constant speed, mode 2 regulates force with
-a PID whose proportional gain comes from the adaptation network each cycle,
-mode 3 retracts after a safety overforce.  Transitions are force-gated and
-reset the PID state.  The network's gain is a velocity gain, so the PID
-output is multiplied by the control period to yield a per-period
-displacement command.
+the depth law the policy solver optimises, ``kp * (reference - force)``,
+whose gain kp comes from the adaptation network each cycle, mode 3 retracts
+after a safety overforce.  Transitions are force-gated.  The network's gain
+is a velocity gain, so the law is multiplied by the control period to yield
+a per-period displacement command.
 """
 
 from __future__ import annotations
@@ -25,30 +25,6 @@ class Mode(IntEnum):
 
 
 @dataclass(frozen=True)
-class PidGains:
-    kp: float
-    ki: float = 0.0
-    kd: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("kp", "ki", "kd"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"gain {name} is not finite")
-        if self.kp < 0.0:
-            raise ValueError(f"kp must be nonnegative, got {self.kp}")
-
-
-@dataclass
-class PidState:
-    integral: float = 0.0
-    previous_error: float | None = None
-
-    def reset(self) -> None:
-        self.integral = 0.0
-        self.previous_error = None
-
-
-@dataclass(frozen=True)
 class HybridConfig:
     """Force gates, motion speeds, and loop timing."""
 
@@ -57,7 +33,7 @@ class HybridConfig:
     approach_speed: float = 0.001  # m per control period, downward
     retract_speed: float = 0.001  # m per control period, upward
     control_period: float = 0.01  # the 100 Hz loop
-    max_step: float = 0.002  # PID displacement saturation per period
+    max_step: float = 0.002  # Regulate displacement saturation per period
 
     def __post_init__(self) -> None:
         if not 0.0 < self.f_min < self.f_max:
@@ -66,30 +42,6 @@ class HybridConfig:
             raise ValueError("speeds must be positive")
         if self.control_period <= 0.0 or self.max_step <= 0.0:
             raise ValueError("control_period and max_step must be positive")
-
-
-def pid_step(
-    state: PidState,
-    gains: PidGains,
-    error: float,
-    dt: float,
-    max_step: float = 0.002,
-) -> float:
-    """One discrete PID update returning a per-period displacement (m).
-
-    Rectangular-rule integral, backward-difference derivative (zero on the
-    first call).  The velocity-form output is scaled by dt and saturated at
-    +/- max_step.
-    """
-    if not math.isfinite(error):
-        raise ValueError("non-finite error")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    state.integral += error * dt
-    derivative = 0.0 if state.previous_error is None else (error - state.previous_error) / dt
-    state.previous_error = error
-    u = (gains.kp * error + gains.ki * state.integral + gains.kd * derivative) * dt
-    return min(max(u, -max_step), max_step)
 
 
 class ConstantGainModule:
@@ -120,23 +72,8 @@ class AdaptationModule:
         return forward(self.params, self.scaler, (reference, force, stiffness))
 
 
-def adaptive_gain(
-    module,
-    reference: float,
-    force: float,
-    stiffness: float,
-    ki: float = 0.0,
-    kd: float = 0.0,
-) -> PidGains:
-    """PID gains for the current cycle: kp from the module, ki/kd fixed."""
-    if module is None:
-        raise ValueError("no adaptation module configured")
-    return PidGains(kp=module.kp(reference, force, stiffness), ki=ki, kd=kd)
-
-
 def hybrid_step(
     mode: Mode,
-    pid: PidState,
     cfg: HybridConfig,
     module,
     reference: float,
@@ -146,8 +83,8 @@ def hybrid_step(
     """One cycle of the mode machine: transition, then command.
 
     Returns (next_mode, displacement command in m, kp used this cycle).
-    Downward displacement is positive.  The PID state is reset on every
-    transition, so regulation always starts from zero integral.
+    Downward displacement is positive.  In Regulate the command is
+    ``kp * (reference - force) * control_period`` saturated at +/- max_step.
     """
     if not math.isfinite(force):
         raise ValueError("non-finite force")
@@ -158,24 +95,30 @@ def hybrid_step(
         next_mode = Mode.RETRACT
     elif mode is Mode.RETRACT and force < cfg.f_min:
         next_mode = Mode.APPROACH
-    if next_mode is not mode:
-        pid.reset()
     if next_mode is Mode.APPROACH:
         return next_mode, cfg.approach_speed, 0.0
     if next_mode is Mode.RETRACT:
         return next_mode, -cfg.retract_speed, 0.0
-    gains = adaptive_gain(module, reference, force, stiffness)
-    command = pid_step(pid, gains, reference - force, cfg.control_period, cfg.max_step)
-    return next_mode, command, gains.kp
+    if module is None:
+        raise ValueError("no adaptation module configured")
+    kp = module.kp(reference, force, stiffness)
+    if not (math.isfinite(kp) and kp >= 0.0):
+        raise ValueError(f"kp must be finite and nonnegative, got {kp}")
+    error = reference - force
+    if not math.isfinite(error):
+        raise ValueError("non-finite error")
+    command = kp * error * cfg.control_period
+    return next_mode, min(max(command, -cfg.max_step), cfg.max_step), kp
 
 
 @dataclass
 class HybridController:
-    """Stateful per-loop controller: detector + mode machine + PID.
+    """Stateful per-loop controller: detector + mode machine + proportional law.
 
     One instance drives one episode.  ``step`` consumes a force reading and
     returns (command, mode, kp); the command is remembered as the
-    displacement for the next stiffness secant.
+    displacement for the next stiffness secant.  Until the detector has
+    formed its first secant, the network sees stiffness 0.
     """
 
     module: object
@@ -183,16 +126,14 @@ class HybridController:
     cfg: HybridConfig = field(default_factory=HybridConfig)
     detector: StiffnessDetector = field(default_factory=StiffnessDetector)
     mode: Mode = Mode.APPROACH
-    pid: PidState = field(default_factory=PidState)
     last_command: float = 0.0
 
     def step(self, measured_force: float) -> tuple[float, Mode, float]:
         stiffness = self.detector.update(measured_force, self.last_command)
         if stiffness is None:
-            stiffness = self.detector.min_stiffness
+            stiffness = 0.0
         self.mode, command, kp = hybrid_step(
-            self.mode, self.pid, self.cfg, self.module,
-            self.reference, measured_force, stiffness,
+            self.mode, self.cfg, self.module, self.reference, measured_force, stiffness,
         )
         self.last_command = command
         return command, self.mode, kp

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
+import typing
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,6 +86,26 @@ class EvalConfig:
                 raise ValueError(f"eval.{key} must not be empty")
 
 
+def _fits_json_type(value, annotation) -> bool:
+    """Whether a decoded JSON value matches a config field's annotation.
+
+    int fields take integers, float fields take integers or floats, and
+    ``tuple[T, ...]`` fields take lists of T.  Booleans are not numbers here.
+    """
+    if typing.get_origin(annotation) is tuple:
+        item = typing.get_args(annotation)[0]
+        return isinstance(value, (list, tuple)) and all(_fits_json_type(v, item) for v in value)
+    if isinstance(value, bool):
+        return annotation is bool
+    return isinstance(value, (int, float) if annotation is float else annotation)
+
+
+def _check_json_type(where: str, name: str, value, annotation) -> None:
+    if not _fits_json_type(value, annotation):
+        expected = annotation.__name__ if isinstance(annotation, type) else annotation
+        raise ValueError(f"{where}: wrongly typed value ({name} must be {expected}, got {value!r})")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything the reproduction run needs besides the output directory."""
@@ -110,22 +131,17 @@ class PipelineConfig:
                 raise ValueError(f"config section {key!r}: unknown keys {sorted(unknown)}")
             if key == "train" and "seed" in block:
                 raise ValueError("train.seed is not settable; set the top-level 'seed' instead")
-            coerced = {
-                k: tuple(v) if isinstance(v, list) else v for k, v in block.items()
-            }
-            try:
-                return klass(**coerced)
-            except TypeError as exc:
-                raise ValueError(f"config section {key!r}: wrongly typed value ({exc})") from exc
+            hints = typing.get_type_hints(klass)
+            for name, value in block.items():
+                _check_json_type(f"config section {key!r}", name, value, hints[name])
+            return klass(**{k: tuple(v) if isinstance(v, list) else v for k, v in block.items()})
 
         known_top = {"seed", "grid", "cost", "data", "solve", "train", "eval", "hybrid"}
         unknown_top = set(raw) - known_top
         if unknown_top:
             raise ValueError(f"unknown config keys {sorted(unknown_top)}")
-        try:
-            seed = int(raw.get("seed", 0))
-        except TypeError as exc:
-            raise ValueError(f"config key 'seed': wrongly typed value ({exc})") from exc
+        seed = raw.get("seed", 0)
+        _check_json_type("config key 'seed'", "seed", seed, int)
         return cls(
             seed=seed,
             grid=sub("grid", GridSpec),

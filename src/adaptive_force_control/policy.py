@@ -113,37 +113,6 @@ class PolicyTable:
         return np.interp(x, self.x_grid, self.kp_values)
 
 
-def step_dynamics(
-    model: ContactModel,
-    x: float,
-    kp: float,
-    reference: float,
-    dt: float,
-    x_min: float = 0.0,
-    x_max: float = 0.02,
-) -> float:
-    """One discrete step of the gain-driven depth dynamics, clamped to the grid."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    nx = x + dt * kp * (reference - model.force_at(x))
-    return min(max(nx, x_min), x_max)
-
-
-def stage_cost(
-    cost: CostParams,
-    model: ContactModel,
-    x: float,
-    kp: float,
-    reference: float,
-    dt: float,
-) -> float:
-    """Per-step quadratic cost dt * (a * error^2 + b * kp^2)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    err = reference - model.force_at(x)
-    return dt * (cost.a * err * err + cost.b * kp * kp)
-
-
 def _value_iteration(x, forces, kp, reference, dt, cost_a, cost_b, gamma, tol, max_sweeps):
     """Value iteration over the (node, gain) pairs that can attain a row minimum.
 

@@ -9,7 +9,6 @@ time from contact, overshoot, steady-state error.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -38,10 +37,6 @@ class SimConfig:
     episode_duration: float = 5.0
     start_height: float = 0.005  # tool starts this far above the surface
     seed: int = 0
-    # Slow sinusoidal motion of the surface itself (resting-arm drift).
-    # Zero amplitude disables it.
-    surface_drift_amplitude: float = 0.0
-    surface_drift_period: float = 2.0
 
     def __post_init__(self) -> None:
         if self.control_period <= 0.0 or self.episode_duration <= 0.0:
@@ -50,8 +45,6 @@ class SimConfig:
             raise ValueError("sensor_noise_sigma must be nonnegative")
         if not math.isfinite(self.reference):
             raise ValueError("reference must be finite")
-        if self.surface_drift_amplitude < 0.0 or self.surface_drift_period <= 0.0:
-            raise ValueError("drift amplitude must be >= 0 and period positive")
 
 
 @dataclass
@@ -104,12 +97,7 @@ def run_episode(cfg: SimConfig, controller: HybridController) -> Trajectory:
     mode_log = np.empty(n, dtype=np.int64)
     command_log = np.empty(n)
     for k in range(n):
-        surface = 0.0
-        if cfg.surface_drift_amplitude > 0.0:
-            surface = cfg.surface_drift_amplitude * math.sin(
-                2.0 * math.pi * time[k] / cfg.surface_drift_period
-            )
-        d = max(0.0, tool - surface)
+        d = max(0.0, tool)
         f_true = cfg.zone.force_at(d) if d > 0.0 else 0.0
         f_meas = max(0.0, f_true + noise[k])
         command, mode, kp = controller.step(f_meas)
@@ -255,28 +243,3 @@ def save_metrics_csv(path: str | Path, rows: list[dict]) -> None:
             f"{str(row['settled']).lower()},{str(row['retracted']).lower()}"
         )
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_metrics_csv(path: str | Path) -> list[dict]:
-    """Read a metrics CSV back into row dicts."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["zone", "reference_n", "seed", "converge_s", "overshoot_n",
-                    "sse_n", "settled", "retracted"]
-        if reader.fieldnames != expected:
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}")
-        rows = []
-        for rec in reader:
-            rows.append(
-                {
-                    "zone": rec["zone"],
-                    "reference_n": float(rec["reference_n"]),
-                    "seed": int(rec["seed"]),
-                    "converge_s": None if rec["converge_s"] == "" else float(rec["converge_s"]),
-                    "overshoot_n": float(rec["overshoot_n"]),
-                    "sse_n": float(rec["sse_n"]),
-                    "settled": rec["settled"] == "true",
-                    "retracted": rec["retracted"] == "true",
-                }
-            )
-    return rows

@@ -18,22 +18,17 @@ class StiffnessDetector:
 
     Near-zero displacements would blow up the quotient, so updates with
     |dx| < min_displacement hold the previous estimate.  Negative slopes
-    (possible under sensor noise) are clamped to min_stiffness because the
-    downstream gain network never sees negative stiffness in training.
-    Smoothing factor 1.0 disables the exponential filter.
+    (possible under sensor noise) are clamped to 0 because the downstream
+    gain network never sees negative stiffness in training.
     """
 
     min_displacement: float = 1e-7
-    min_stiffness: float = 0.0
-    smoothing: float = 1.0
     last_force: float | None = field(default=None, init=False)
     last_stiffness: float | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if not (self.min_displacement > 0.0):
             raise ValueError("min_displacement must be positive")
-        if not (0.0 < self.smoothing <= 1.0):
-            raise ValueError("smoothing must be in (0, 1]")
 
     def update(self, current_force: float, displacement_last_period: float) -> float | None:
         """Feed one force reading; returns the stiffness estimate (N/m).
@@ -48,16 +43,6 @@ class StiffnessDetector:
             and abs(displacement_last_period) >= self.min_displacement
         ):
             raw = (current_force - self.last_force) / displacement_last_period
-            raw = max(raw, self.min_stiffness)
-            if self.last_stiffness is None or self.smoothing == 1.0:
-                self.last_stiffness = raw
-            else:
-                s = self.smoothing
-                self.last_stiffness = s * raw + (1.0 - s) * self.last_stiffness
+            self.last_stiffness = max(raw, 0.0)
         self.last_force = current_force
         return self.last_stiffness
-
-    def reset(self) -> None:
-        """Forget all history (e.g. on loss of contact)."""
-        self.last_force = None
-        self.last_stiffness = None

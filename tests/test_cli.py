@@ -637,7 +637,15 @@ class TestReproduce:
         ({"train": {"epochs": "2"}}, "config section 'train'"),
         ({"cost": {"a": [1.0]}}, "config section 'cost'"),
         ({"seed": [1]}, "config key 'seed'"),
-    ], ids=["grid", "train", "cost", "seed"])
+        ({"grid": {"x_steps": 41.5}}, "config section 'grid'"),
+        ({"solve": {"references": ["5"]}}, "config section 'solve'"),
+        ({"train": {"epochs": 2.0}}, "config section 'train'"),
+        ({"eval": {"seeds": [1.5]}}, "config section 'eval'"),
+        ({"seed": "7"}, "config key 'seed'"),
+        ({"seed": 1.5}, "config key 'seed'"),
+        ({"seed": True}, "config key 'seed'"),
+    ], ids=["grid", "train", "cost", "seed", "grid-float-int", "solve-str-list",
+            "train-float-int", "eval-float-list", "seed-str", "seed-float", "seed-bool"])
     def test_wrongly_typed_value_exits_2(self, capsys, tmp_path, document, where):
         cfg_path = tmp_path / "typed.json"
         cfg_path.write_text(json.dumps(document))

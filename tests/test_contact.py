@@ -7,7 +7,6 @@ import pytest
 
 from adaptive_force_control.contact import (
     ContactModel,
-    check_surface_offset,
     fit_exponential,
     generate_zone_data,
     load_zone_csv,
@@ -65,11 +64,6 @@ class TestModelValidation:
     def test_bad_parameters_rejected(self, a, b, c):
         with pytest.raises(ValueError):
             ContactModel(a=a, b=b, c=c)
-
-    def test_surface_offset_check(self):
-        check_surface_offset(ContactModel(a=3.0, b=-115.0, c=-3.0))
-        with pytest.raises(ValueError):
-            check_surface_offset(ContactModel(a=3.0, b=-115.0, c=0.0))
 
     def test_depth_for_force_inverts_force_at(self):
         depth = REF_MODEL.depth_for_force(5.0)

@@ -1,6 +1,4 @@
-"""Tests for the PID law, gain wiring, and the three-mode hybrid machine."""
-
-import math
+"""Tests for the proportional law, gain wiring, and the three-mode hybrid machine."""
 
 import numpy as np
 import pytest
@@ -13,11 +11,7 @@ from adaptive_force_control import (
     HybridController,
     Mode,
     MlpParams,
-    PidGains,
-    PidState,
-    adaptive_gain,
     hybrid_step,
-    pid_step,
     save_model,
 )
 from adaptive_force_control.mlp import LAYER_SHAPES
@@ -43,69 +37,37 @@ class SpyModule:
         return self.gain
 
 
-class TestPidStep:
-    def test_proportional_saturates_at_default_step(self):
-        # 0.5 * 4 * 0.01 = 0.02 m exceeds the 2 mm per-period limit.
-        u = pid_step(PidState(), PidGains(kp=0.5), 4.0, 0.01)
-        assert u == 0.002
+def regulate(module, reference, force, cfg=HybridConfig()):
+    """One Regulate-mode cycle that stays in Regulate."""
+    mode, command, kp = hybrid_step(Mode.REGULATE, cfg, module, reference, force, 100.0)
+    assert mode is Mode.REGULATE
+    return command, kp
 
-    def test_proportional_unsaturated(self):
-        u = pid_step(PidState(), PidGains(kp=0.5), 4.0, 0.01, max_step=0.1)
-        assert u == pytest.approx(0.02, rel=1e-12)
+
+class TestProportionalLaw:
+    def test_saturates_at_default_step(self):
+        # 0.5 * 4 * 0.01 = 0.02 m exceeds the 2 mm per-period limit.
+        assert regulate(ConstantGainModule(0.5), 5.0, 1.0) == (0.002, 0.5)
+
+    def test_unsaturated(self):
+        command, _ = regulate(ConstantGainModule(0.5), 5.0, 1.0, HybridConfig(max_step=0.1))
+        assert command == pytest.approx(0.02, rel=1e-12)
 
     def test_negative_saturation(self):
-        u = pid_step(PidState(), PidGains(kp=0.5), -4.0, 0.01)
-        assert u == -0.002
+        assert regulate(ConstantGainModule(0.5), 1.0, 5.0) == (-0.002, 0.5)
 
     def test_quiescence(self):
-        assert pid_step(PidState(), PidGains(kp=1.0, ki=1.0, kd=1.0), 0.0, 0.01) == 0.0
+        assert regulate(ConstantGainModule(1.0), 5.0, 5.0) == (0.0, 1.0)
 
-    def test_rectangular_integral_identity(self):
-        # error * dt chosen exactly representable so repeated accumulation
-        # stays exact.
-        state = PidState()
-        for _ in range(10):
-            pid_step(state, PidGains(kp=0.0, ki=1.0), 4.0, 0.25, max_step=1e9)
-        assert state.integral == 10.0 * 4.0 * 0.25
+    @pytest.mark.parametrize("reference", [float("nan"), float("inf")])
+    def test_rejects_non_finite_error(self, reference):
+        with pytest.raises(ValueError, match="error"):
+            regulate(ConstantGainModule(1.0), reference, 3.0)
 
-    def test_integral_term_drives_output(self):
-        state = PidState()
-        u1 = pid_step(state, PidGains(kp=0.0, ki=2.0), 1.0, 0.01, max_step=1e9)
-        u2 = pid_step(state, PidGains(kp=0.0, ki=2.0), 1.0, 0.01, max_step=1e9)
-        assert u1 == pytest.approx(2.0 * 0.01 * 0.01, rel=1e-12)
-        assert u2 == pytest.approx(2.0 * 0.02 * 0.01, rel=1e-12)
-
-    def test_derivative_zero_on_first_call(self):
-        state = PidState()
-        assert pid_step(state, PidGains(kp=0.0, kd=5.0), 3.0, 0.01, max_step=1e9) == 0.0
-
-    def test_derivative_backward_difference(self):
-        state = PidState()
-        pid_step(state, PidGains(kp=0.0, kd=5.0), 3.0, 0.01, max_step=1e9)
-        u = pid_step(state, PidGains(kp=0.0, kd=5.0), 3.5, 0.01, max_step=1e9)
-        assert u == pytest.approx(5.0 * (0.5 / 0.01) * 0.01, rel=1e-12)
-
-    def test_reset(self):
-        state = PidState()
-        pid_step(state, PidGains(kp=1.0, ki=1.0), 2.0, 0.01)
-        state.reset()
-        assert state.integral == 0.0
-        assert state.previous_error is None
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            pid_step(PidState(), PidGains(kp=1.0), float("nan"), 0.01)
-        with pytest.raises(ValueError):
-            pid_step(PidState(), PidGains(kp=1.0), 1.0, 0.0)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"kp": -0.1},
-        {"kp": float("nan")},
-        {"kp": 1.0, "ki": float("inf")},
-    ])
-    def test_gain_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PidGains(**kwargs)
+    @pytest.mark.parametrize("gain", [-0.1, float("nan"), float("inf")])
+    def test_rejects_bad_module_gain(self, gain):
+        with pytest.raises(ValueError, match="kp"):
+            regulate(SpyModule(gain), 5.0, 3.0)
 
 
 class TestGainModules:
@@ -119,19 +81,19 @@ class TestGainModules:
         with pytest.raises(ValueError):
             ConstantGainModule(kp)
 
-    def test_zero_network_gain(self):
-        gains = adaptive_gain(zero_module(), 5.0, 1.0, 100.0, ki=0.1, kd=0.2)
-        assert gains == PidGains(kp=0.0, ki=0.1, kd=0.2)
-
     def test_missing_module_rejected(self):
         with pytest.raises(ValueError, match="module"):
-            adaptive_gain(None, 5.0, 1.0, 100.0)
+            regulate(None, 5.0, 1.0)
+
+    def test_zero_network_gain(self):
+        assert regulate(zero_module(), 5.0, 1.0) == (0.0, 0.0)
 
     def test_gain_clamped_to_unit_range(self):
         module = zero_module()
         for w in module.params.weights:
             w[:] = 40.0
-        assert adaptive_gain(module, 24.0, 25.0, 900.0).kp == 1.0
+        _, kp = regulate(module, 24.0, 25.0)
+        assert kp == 1.0
 
     def test_load_from_file(self, tmp_path):
         module = zero_module()
@@ -146,7 +108,7 @@ class TestHybridTransitions:
 
     def test_approach_below_gate(self):
         mode, command, kp = hybrid_step(
-            Mode.APPROACH, PidState(), self.CFG, SpyModule(), 5.0, 0.0, 0.0
+            Mode.APPROACH, self.CFG, SpyModule(), 5.0, 0.0, 0.0
         )
         assert mode is Mode.APPROACH
         assert command == self.CFG.approach_speed
@@ -154,46 +116,34 @@ class TestHybridTransitions:
 
     def test_contact_gate_is_inclusive(self):
         mode, _, _ = hybrid_step(
-            Mode.APPROACH, PidState(), self.CFG, SpyModule(), 5.0, self.CFG.f_min, 100.0
+            Mode.APPROACH, self.CFG, SpyModule(), 5.0, self.CFG.f_min, 100.0
         )
         assert mode is Mode.REGULATE
 
-    def test_transition_resets_pid(self):
-        # Evidence of the reset: the integral after the first Regulate step
-        # is exactly one rectangle, not the stale carry-over.
-        pid = PidState(integral=5.0, previous_error=3.0)
-        error = 5.0 - self.CFG.f_min
-        _, _, _ = hybrid_step(
-            Mode.APPROACH, pid, self.CFG, SpyModule(), 5.0, self.CFG.f_min, 100.0
-        )
-        assert pid.integral == error * self.CFG.control_period
-
     def test_overforce_gate_is_strict(self):
         mode, _, _ = hybrid_step(
-            Mode.REGULATE, PidState(), self.CFG, SpyModule(), 5.0, self.CFG.f_max, 100.0
+            Mode.REGULATE, self.CFG, SpyModule(), 5.0, self.CFG.f_max, 100.0
         )
         assert mode is Mode.REGULATE
 
     def test_overforce_triggers_retract(self):
-        pid = PidState(integral=2.0, previous_error=1.0)
         mode, command, kp = hybrid_step(
-            Mode.REGULATE, pid, self.CFG, SpyModule(), 5.0, self.CFG.f_max + 1.0, 100.0
+            Mode.REGULATE, self.CFG, SpyModule(), 5.0, self.CFG.f_max + 1.0, 100.0
         )
         assert mode is Mode.RETRACT
         assert command == -self.CFG.retract_speed
         assert kp == 0.0
-        assert pid.integral == 0.0 and pid.previous_error is None
 
     def test_retract_holds_until_below_gate(self):
         mode, command, _ = hybrid_step(
-            Mode.RETRACT, PidState(), self.CFG, SpyModule(), 5.0, self.CFG.f_min, 100.0
+            Mode.RETRACT, self.CFG, SpyModule(), 5.0, self.CFG.f_min, 100.0
         )
         assert mode is Mode.RETRACT
         assert command == -self.CFG.retract_speed
 
     def test_retract_reenters_approach(self):
         mode, command, _ = hybrid_step(
-            Mode.RETRACT, PidState(), self.CFG, SpyModule(), 5.0, 0.4, 100.0
+            Mode.RETRACT, self.CFG, SpyModule(), 5.0, 0.4, 100.0
         )
         assert mode is Mode.APPROACH
         assert command == self.CFG.approach_speed
@@ -201,14 +151,14 @@ class TestHybridTransitions:
     def test_no_direct_approach_to_retract(self):
         # A huge force seen in Approach must pass through Regulate first.
         mode, _, _ = hybrid_step(
-            Mode.APPROACH, PidState(), self.CFG, SpyModule(), 5.0, 100.0, 100.0
+            Mode.APPROACH, self.CFG, SpyModule(), 5.0, 100.0, 100.0
         )
         assert mode is Mode.REGULATE
 
     def test_rejects_non_finite_force(self):
         with pytest.raises(ValueError):
             hybrid_step(
-                Mode.APPROACH, PidState(), self.CFG, SpyModule(), 5.0, float("nan"), 0.0
+                Mode.APPROACH, self.CFG, SpyModule(), 5.0, float("nan"), 0.0
             )
 
 
@@ -216,26 +166,21 @@ class TestHybridRegulation:
     CFG = HybridConfig()
 
     def test_wiring_identity_with_constant_gain(self):
-        # Regulate-mode commands must be exactly pid_step with the same state.
+        # Regulate-mode commands must be exactly the solver's depth law,
+        # kp * (r - f) * dt, saturated at max_step.
         module = ConstantGainModule(0.3)
-        hybrid_pid = PidState()
-        plain_pid = PidState()
         mode = Mode.REGULATE
         for force in [1.0, 2.0, 3.5, 4.2, 4.8, 5.1, 4.9]:
-            mode, command, kp = hybrid_step(
-                mode, hybrid_pid, self.CFG, module, 5.0, force, 250.0
-            )
-            expected = pid_step(
-                plain_pid, PidGains(kp=0.3), 5.0 - force, self.CFG.control_period,
-                self.CFG.max_step,
-            )
+            mode, command, kp = hybrid_step(mode, self.CFG, module, 5.0, force, 250.0)
+            step = self.CFG.max_step
+            expected = min(max(0.3 * (5.0 - force) * self.CFG.control_period, -step), step)
             assert mode is Mode.REGULATE
             assert command == expected
             assert kp == 0.3
 
     def test_module_sees_cycle_features(self):
         spy = SpyModule()
-        hybrid_step(Mode.REGULATE, PidState(), self.CFG, spy, 7.0, 3.0, 421.0)
+        hybrid_step(Mode.REGULATE, self.CFG, spy, 7.0, 3.0, 421.0)
         assert spy.calls == [(7.0, 3.0, 421.0)]
 
     def test_command_bound_invariant(self):
@@ -245,7 +190,7 @@ class TestHybridRegulation:
             for _ in range(50):
                 force = float(rng.uniform(0.0, 40.0))
                 _, command, _ = hybrid_step(
-                    mode, PidState(), self.CFG, ConstantGainModule(1.0),
+                    mode, self.CFG, ConstantGainModule(1.0),
                     float(rng.uniform(4.0, 24.0)), force, float(rng.uniform(0.0, 900.0)),
                 )
                 assert abs(command) <= bound
@@ -278,7 +223,7 @@ class TestHybridController:
         spy = SpyModule()
         ctl = HybridController(module=spy, reference=5.0)
         ctl.step(0.8)  # immediate contact, no displacement history yet
-        assert spy.calls == [(5.0, 0.8, ctl.detector.min_stiffness)]
+        assert spy.calls == [(5.0, 0.8, 0.0)]
 
     def test_tracks_mode_and_remembers_command(self):
         ctl = HybridController(module=ConstantGainModule(0.2), reference=5.0)

@@ -24,8 +24,6 @@ from adaptive_force_control import (
     save_policy,
     solve_policy,
     solve_policy_tabular,
-    stage_cost,
-    step_dynamics,
 )
 from adaptive_force_control.pipeline import SolveConfig, solve_policies
 
@@ -67,56 +65,6 @@ def assert_matches_oracle(x, forces, kp, reference, gamma, max_sweeps=400, cost_
     assert table.sweeps == sweeps
     assert table.converged == converged
     return table
-
-
-class TestStepDynamics:
-    def test_equilibrium_is_fixed_point(self):
-        r = ZONE.force_at(0.01)
-        assert step_dynamics(ZONE, 0.01, 0.7, r, 0.03) == 0.01
-
-    def test_zero_gain_holds_position(self):
-        assert step_dynamics(ZONE, 0.0123, 0.0, 25.0, 0.03) == 0.0123
-
-    def test_upper_clamp(self):
-        # Raw update 0.03 * 0.5 * 3.43656 = 0.0515 m overshoots the grid.
-        assert step_dynamics(ZONE, 0.0, 0.5, 3.43656, 0.03) == 0.02
-
-    def test_lower_clamp(self):
-        assert step_dynamics(ZONE, 0.0, 1.0, -1.0, 0.03) == 0.0
-
-    def test_interior_update_is_linear(self):
-        x, kp, r, dt = 0.004, 0.3, 1.0, 0.03
-        expected = x + dt * kp * (r - ZONE.force_at(x))
-        assert step_dynamics(ZONE, x, kp, r, dt) == expected
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            step_dynamics(ZONE, 0.0, 0.5, 5.0, 0.0)
-
-
-class TestStageCost:
-    def test_zero_at_equilibrium_with_zero_gain(self):
-        r = ZONE.force_at(0.01)
-        assert stage_cost(CostParams(), ZONE, 0.01, 0.0, r, 0.03) == 0.0
-
-    def test_hand_arithmetic(self):
-        # error 2 N at zero depth, kp 0.5: 0.03 * (4 + 40 * 0.25) = 0.42
-        c = stage_cost(CostParams(a=1.0, b=40.0), ZONE, 0.0, 0.5, 2.0, 0.03)
-        assert c == pytest.approx(0.42, rel=1e-12)
-
-    def test_even_in_error(self):
-        plus = stage_cost(CostParams(), ZONE, 0.0, 0.3, 2.0, 0.03)
-        minus = stage_cost(CostParams(), ZONE, 0.0, 0.3, -2.0, 0.03)
-        assert plus == minus
-
-    def test_gain_penalty_alone(self):
-        r = ZONE.force_at(0.005)
-        c = stage_cost(CostParams(a=1.0, b=40.0), ZONE, 0.005, 1.0, r, 0.03)
-        assert c == pytest.approx(1.2, rel=1e-12)
-
-    def test_rejects_bad_dt(self):
-        with pytest.raises(ValueError):
-            stage_cost(CostParams(), ZONE, 0.0, 0.5, 5.0, -0.01)
 
 
 class TestConfigTypes:
@@ -315,15 +263,18 @@ class TestSolvePolicyWrapper:
 
     @pytest.mark.parametrize("reference", [5.0, 20.0])
     def test_closed_loop_settles(self, reference):
-        # Rolling the solved gain schedule through the model dynamics from
-        # the surface must regulate force to within 5% of the target.  Uses
-        # a bundled zone; the example model above saturates below 20 N.
+        # Rolling the solved gain schedule through the solver's dynamics,
+        # x + dt * kp * (r - f(x)) clamped to the grid, from the surface must
+        # regulate force to within 5% of the target.  Uses a bundled zone;
+        # the example model above saturates below 20 N.
         zone = get_zone("zone1")
-        table = solve_policy(zone, reference, self.GRID)
+        grid = self.GRID
+        table = solve_policy(zone, reference, grid)
         assert table.converged
         x = 0.0
         for _ in range(600):
-            x = step_dynamics(zone, x, float(table.kp_at(x)), reference, self.GRID.dt)
+            x += grid.dt * float(table.kp_at(x)) * (reference - zone.force_at(x))
+            x = min(max(x, grid.x_min), grid.x_max)
         assert abs(zone.force_at(x) - reference) < 0.05 * reference
 
     def test_sweep_of_one_equals_single_solve(self, tmp_path):
