@@ -9,6 +9,7 @@ hybrid controller.
 
 from .contact import (
     ContactModel,
+    DataConfig,
     FitReport,
     fit_exponential,
     generate_zone_data,
@@ -50,6 +51,7 @@ from .policy import (
 from .pipeline import PipelineConfig, run_pipeline
 from .sim import (
     EpisodeMetrics,
+    EvalConfig,
     SimConfig,
     SimulationFault,
     Trajectory,
@@ -68,7 +70,9 @@ __all__ = [
     "ConstantGainModule",
     "ContactModel",
     "CostParams",
+    "DataConfig",
     "EpisodeMetrics",
+    "EvalConfig",
     "FeatureScaler",
     "FitReport",
     "GridSpec",

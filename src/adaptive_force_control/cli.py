@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .contact import (
     ContactModel,
+    DataConfig,
     fit_exponential,
     generate_zone_data,
     load_zone_csv,
@@ -20,14 +21,7 @@ from .contact import (
 )
 from .controller import AdaptationModule, ConstantGainModule, HybridConfig, HybridController
 from .mlp import TrainConfig
-from .policy import (
-    CostParams,
-    DEFAULT_GAMMA,
-    DEFAULT_MAX_SWEEPS,
-    DEFAULT_TOL,
-    GridSpec,
-    default_references,
-)
+from .policy import CostParams, GridSpec
 from .pipeline import (
     PipelineConfig,
     SolveConfig,
@@ -73,14 +67,10 @@ def cmd_fit(args) -> int:
     jobs = []
     if args.synthetic:
         zone = get_zone(args.synthetic)
-        depths, forces = generate_zone_data(
-            zone,
-            step=args.step,
-            max_force=args.max_force,
-            noise_sigma=args.noise,
-            repetitions=args.repetitions,
-            seed=args.seed,
+        data = DataConfig(
+            step=args.step, max_force=args.max_force, noise_sigma=args.noise, repetitions=args.repetitions
         )
+        depths, forces = generate_zone_data(zone, data, args.seed)
         csv_path = out_dir / f"{args.synthetic}.csv"
         save_zone_csv(csv_path, depths, forces)
         jobs.append((csv_path, depths, forces))
@@ -106,9 +96,9 @@ def cmd_fit(args) -> int:
 
 def cmd_solve(args) -> int:
     model = ContactModel.from_json(args.model)
-    grid = GridSpec(dt=args.dt) if args.dt else GridSpec()
+    grid = GridSpec(dt=args.dt)
     cost = CostParams(a=args.cost_a, b=args.cost_b)
-    references = _parse_references(args.r) if args.r else default_references()
+    references = _parse_references(args.r) if args.r else SolveConfig.references
     solve = SolveConfig(
         references=tuple(references), gamma=args.gamma, tol=args.tol, max_sweeps=args.max_sweeps
     )
@@ -226,10 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     src = p_fit.add_mutually_exclusive_group(required=True)
     src.add_argument("--csv", nargs="+", help="depth/force CSV file(s) to fit")
     src.add_argument("--synthetic", metavar="ZONE", help="generate synthetic data for a bundled zone")
-    p_fit.add_argument("--noise", type=float, default=0.05, help="synthetic noise sigma (N)")
-    p_fit.add_argument("--step", type=float, default=1e-4, help="synthetic probing step (m)")
-    p_fit.add_argument("--max-force", type=float, default=25.0, help="synthetic probing stop force (N)")
-    p_fit.add_argument("--repetitions", type=int, default=10, help="synthetic probing passes")
+    p_fit.add_argument("--noise", type=float, default=DataConfig.noise_sigma,
+                       help="synthetic noise sigma (N)")
+    p_fit.add_argument("--step", type=float, default=DataConfig.step, help="synthetic probing step (m)")
+    p_fit.add_argument("--max-force", type=float, default=DataConfig.max_force,
+                       help="synthetic probing stop force (N)")
+    p_fit.add_argument("--repetitions", type=int, default=DataConfig.repetitions,
+                       help="synthetic probing passes")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", default=".", help="output directory")
     p_fit.set_defaults(func=cmd_fit)
@@ -237,12 +230,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve optimal gain policies by value iteration")
     p_solve.add_argument("--model", required=True, help="contact model JSON")
     p_solve.add_argument("--r", help="reference force(s): N, N1,N2,..., or start:stop:step")
-    p_solve.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p_solve.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_solve.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
-    p_solve.add_argument("--dt", type=float, help="override solver timestep (s)")
-    p_solve.add_argument("--cost-a", type=float, default=1.0, help="force-error weight")
-    p_solve.add_argument("--cost-b", type=float, default=40.0, help="gain weight")
+    p_solve.add_argument("--gamma", type=float, default=SolveConfig.gamma)
+    p_solve.add_argument("--tol", type=float, default=SolveConfig.tol)
+    p_solve.add_argument("--max-sweeps", type=int, default=SolveConfig.max_sweeps)
+    p_solve.add_argument("--dt", type=float, default=GridSpec.dt, help="solver timestep (s)")
+    p_solve.add_argument("--cost-a", type=float, default=CostParams.a, help="force-error weight")
+    p_solve.add_argument("--cost-b", type=float, default=CostParams.b, help="gain weight")
     p_solve.add_argument("--allow-unconverged", action="store_true")
     p_solve.add_argument("--out", default="policies", help="output directory")
     p_solve.set_defaults(func=cmd_solve)
@@ -250,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the adaptation network from solved policies")
     p_train.add_argument("--policies", nargs="+", required=True, help="policy directories (one per zone)")
     p_train.add_argument("--model", nargs="+", required=True, help="contact model JSON per policy directory")
-    p_train.add_argument("--epochs", type=int, default=200)
-    p_train.add_argument("--lr", type=float, default=1e-4)
-    p_train.add_argument("--batch-size", type=int, default=64)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p_train.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p_train.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p_train.add_argument("--seed", type=int, default=TrainConfig.seed)
     p_train.add_argument("--out", default="trained", help="output directory")
     p_train.set_defaults(func=cmd_train)
 
@@ -265,9 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     gain.add_argument("--module", help="trained adaptation model JSON")
     gain.add_argument("--kp-const", type=float, help="constant-gain stand-in")
     p_sim.add_argument("--r", type=float, required=True, help="reference force (N)")
-    p_sim.add_argument("--noise", type=float, default=0.05, help="sensor noise sigma (N)")
-    p_sim.add_argument("--duration", type=float, default=5.0, help="episode length (s)")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--noise", type=float, default=SimConfig.sensor_noise_sigma,
+                       help="sensor noise sigma (N)")
+    p_sim.add_argument("--duration", type=float, default=SimConfig.episode_duration, help="episode length (s)")
+    p_sim.add_argument("--seed", type=int, default=SimConfig.seed)
     p_sim.add_argument("--out", help="trajectory CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 

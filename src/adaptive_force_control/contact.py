@@ -19,6 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
+# Levenberg-Marquardt budget and stopping rule of fit_exponential.
+MAX_ITERATIONS = 200
+STEP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ContactModel:
@@ -67,11 +71,35 @@ class ContactModel:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ContactModel":
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"contact model file {path}: invalid JSON at line {exc.lineno}") from exc
         try:
             return cls(a=float(raw["a"]), b=float(raw["b"]), c=float(raw["c"]))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"contact model file {path}: missing or bad field ({exc})") from exc
+
+
+@dataclass(frozen=True)
+class DataConfig:
+    """Synthetic probing parameters: depth step (m), stop force (N), force
+    noise sigma (N) and passes averaged per depth."""
+
+    step: float = 1e-4
+    max_force: float = 25.0
+    noise_sigma: float = 0.05
+    repetitions: int = 10
+
+    def __post_init__(self) -> None:
+        if not self.step > 0.0:
+            raise ValueError(f"data.step must be positive, got {self.step}")
+        if not self.max_force > 0.0:
+            raise ValueError(f"data.max_force must be positive, got {self.max_force}")
+        if self.repetitions < 1:
+            raise ValueError(f"data.repetitions must be >= 1, got {self.repetitions}")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError(f"data.noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -147,18 +175,13 @@ def _guess_thirds_ratio(depths: np.ndarray, forces: np.ndarray) -> np.ndarray | 
     return np.array([math.log(a0), math.log(nb0), float(c0)])
 
 
-def fit_exponential(
-    depths: np.ndarray,
-    forces: np.ndarray,
-    max_iterations: int = 200,
-    step_tol: float = 1e-10,
-) -> FitReport:
+def fit_exponential(depths: np.ndarray, forces: np.ndarray) -> FitReport:
     """Fit f(x) = a*exp(-b*x) + c by damped Gauss-Newton least squares.
 
     Works in (log a, log(-b), c) so the sign constraints hold by
     construction.  Convergence means the parameter step norm dropped below
-    ``step_tol``; running out of iterations yields ``converged=False`` with
-    the best parameters found, not an exception.
+    ``STEP_TOL``; running out of ``MAX_ITERATIONS`` yields ``converged=False``
+    with the best parameters found, not an exception.
     """
     depths = np.asarray(depths, dtype=float)
     forces = np.asarray(forces, dtype=float)
@@ -171,10 +194,10 @@ def fit_exponential(
     if np.ptp(depths) <= 0.0:
         raise ValueError("depth samples must span a nonzero range")
 
-    runs = [_levenberg_marquardt(_guess_log_slope(depths, forces), depths, forces, max_iterations, step_tol)]
+    runs = [_levenberg_marquardt(_guess_log_slope(depths, forces), depths, forces)]
     p_alt = _guess_thirds_ratio(depths, forces)
     if p_alt is not None:
-        runs.append(_levenberg_marquardt(p_alt, depths, forces, max_iterations, step_tol))
+        runs.append(_levenberg_marquardt(p_alt, depths, forces))
     p, cost, iterations, converged = min(runs, key=lambda run: run[1])
     model = ContactModel(a=math.exp(p[0]), b=-math.exp(p[1]), c=float(p[2]))
     rms = math.sqrt(cost / depths.size)
@@ -190,11 +213,7 @@ def _step_overflows(p: np.ndarray, max_depth: float) -> bool:
 
 
 def _levenberg_marquardt(
-    p0: np.ndarray,
-    depths: np.ndarray,
-    forces: np.ndarray,
-    max_iterations: int,
-    step_tol: float,
+    p0: np.ndarray, depths: np.ndarray, forces: np.ndarray
 ) -> tuple[np.ndarray, float, int, bool]:
     max_depth = float(depths.max())
     p = p0
@@ -203,7 +222,7 @@ def _levenberg_marquardt(
     lam = 1e-3
     converged = False
     iterations = 0
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         jtj = jac.T @ jac
         damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
@@ -223,7 +242,7 @@ def _levenberg_marquardt(
         if cost_try <= cost:
             p, r, jac, cost = p_try, r_try, jac_try, cost_try
             lam = max(lam * 0.3, 1e-14)
-            if float(np.linalg.norm(step)) < step_tol:
+            if float(np.linalg.norm(step)) < STEP_TOL:
                 converged = True
                 break
         else:
@@ -234,40 +253,30 @@ def _levenberg_marquardt(
 
 
 def generate_zone_data(
-    model: ContactModel,
-    step: float = 1e-4,
-    max_force: float = 25.0,
-    noise_sigma: float = 0.05,
-    repetitions: int = 10,
-    seed: int = 0,
+    model: ContactModel, data: DataConfig, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize probing data: step into the zone, record force, average runs.
 
-    Depths advance from zero in fixed increments until the noiseless force
-    exceeds ``max_force`` (the crossing sample is kept; the probe stops after
-    observing the limit).  Each depth is visited ``repetitions`` times with
-    independent Gaussian force noise and the repetitions are averaged.
-    Returns (depths, mean_forces); deterministic for a fixed seed.
+    Depths advance from zero in increments of ``data.step`` until the
+    noiseless force exceeds ``data.max_force`` (the crossing sample is kept;
+    the probe stops after observing the limit).  Each depth is visited
+    ``data.repetitions`` times with independent Gaussian force noise and the
+    repetitions are averaged.  Returns (depths, mean_forces); deterministic
+    for a fixed seed.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if noise_sigma < 0.0:
-        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    if max_force <= model.force_at(0.0):
+    if data.max_force <= model.force_at(0.0):
         raise ValueError("max_force must exceed the force at zero depth")
 
     # The noiseless law fixes the depth schedule, so per-depth means are
     # well defined across repetitions.
-    crossing = model.depth_for_force(max_force)
-    n = int(math.floor(crossing / step)) + 2
-    depths = np.arange(n) * step
+    crossing = model.depth_for_force(data.max_force)
+    n = int(math.floor(crossing / data.step)) + 2
+    depths = np.arange(n) * data.step
     clean = model.force_at(depths)
-    if noise_sigma == 0.0:
+    if data.noise_sigma == 0.0:
         return depths, clean.copy()
     rng = np.random.default_rng(seed)
-    noisy = clean[None, :] + rng.normal(0.0, noise_sigma, size=(repetitions, n))
+    noisy = clean[None, :] + rng.normal(0.0, data.noise_sigma, size=(data.repetitions, n))
     return depths, noisy.mean(axis=0)
 
 

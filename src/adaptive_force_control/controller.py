@@ -124,9 +124,9 @@ class HybridController:
     module: object
     reference: float
     cfg: HybridConfig = field(default_factory=HybridConfig)
-    detector: StiffnessDetector = field(default_factory=StiffnessDetector)
-    mode: Mode = Mode.APPROACH
-    last_command: float = 0.0
+    detector: StiffnessDetector = field(default_factory=StiffnessDetector, init=False)
+    mode: Mode = field(default=Mode.APPROACH, init=False)
+    last_command: float = field(default=0.0, init=False)
 
     def step(self, measured_force: float) -> tuple[float, Mode, float]:
         stiffness = self.detector.update(measured_force, self.last_command)

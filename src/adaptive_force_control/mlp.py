@@ -59,9 +59,6 @@ class FeatureScaler:
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (features - self.mean) / self.std
 
-    def inverse_transform(self, standardized: np.ndarray) -> np.ndarray:
-        return standardized * self.std + self.mean
-
 
 def fit_scaler(features: np.ndarray) -> FeatureScaler:
     """Fit mean/std per column; constant columns get unit scale."""
@@ -153,21 +150,19 @@ def forward(params: MlpParams, scaler: FeatureScaler, features) -> float | np.nd
 
 def loss_and_gradient(
     params: MlpParams,
-    features: np.ndarray,
+    x: np.ndarray,
     labels: np.ndarray,
-    scaler: FeatureScaler | None = None,
     grad: MlpParams | None = None,
 ) -> tuple[float, MlpParams]:
     """Batch MSE and its exact gradient by reverse-mode differentiation.
 
-    The inference clamp is not part of the training path; the output
-    rectifier is.  Pass scaler=None when features are already standardized.
-    The gradient is written into ``grad`` when given (training reuses one
-    buffer), else into a fresh one; either way it is returned.
+    ``x`` is a standardized (n, 3) batch.  The inference clamp is not part of
+    the training path; the output rectifier is.  The gradient is written
+    into ``grad`` when given (training reuses one buffer), else into a fresh
+    one; either way it is returned.
     """
-    if features.ndim != 2 or features.shape[0] == 0:
+    if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError("batch must be a non-empty (n, 3) array")
-    x = scaler.transform(features) if scaler is not None else features
     y = np.asarray(labels, dtype=float)
     if grad is None:
         grad = MlpParams.view(np.empty(N_PARAMS))
@@ -380,18 +375,3 @@ def save_dataset(path: str | Path, features: np.ndarray, labels: np.ndarray) -> 
         lines.append(f"{float(r)!r},{float(f)!r},{float(s)!r},{float(kp)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def load_dataset(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a dataset CSV written by :func:`save_dataset`."""
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != "r_n,f_n,dfdx_n_per_m,kp":
-        raise ValueError(f"{path}: expected header r_n,f_n,dfdx_n_per_m,kp")
-    try:
-        data = np.asarray([[float(v) for v in line.split(",")] for line in lines[1:] if line])
-    except ValueError as exc:
-        raise ValueError(f"{path}: bad numeric row ({exc})") from exc
-    if data.size == 0:
-        raise ValueError(f"{path}: no data rows")
-    if data.shape[1] != 4:
-        raise ValueError(f"{path}: expected 4 columns, got {data.shape[1]}")
-    return data[:, :3], data[:, 3]

@@ -13,14 +13,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import statistics
-import typing
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .contact import ContactModel, fit_exponential, generate_zone_data, save_zone_csv
+from .config import check_json_type, read_section
+from .contact import ContactModel, DataConfig, fit_exponential, generate_zone_data, save_zone_csv
 from .controller import AdaptationModule, HybridConfig
 from .mlp import TrainConfig, TrainResult, build_dataset, save_dataset, save_model, train
 from .policy import (
@@ -35,7 +35,7 @@ from .policy import (
     save_policy,
     solve_policy,
 )
-from .sim import derive_seed, evaluate_suite, save_metrics_csv
+from .sim import EvalConfig, derive_seed, evaluate_suite, save_metrics_csv
 from .zones import ALL_ZONES, TRAINING_ZONES
 
 # Fixed stage indices for the seed fan-out rule:
@@ -45,16 +45,6 @@ STAGE_TRAIN = 2
 STAGE_EVAL = 3
 
 STAGES = ("fit", "solve", "train", "evaluate")
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Synthetic probing parameters for the fit stage."""
-
-    step: float = 1e-4
-    max_force: float = 25.0
-    noise_sigma: float = 0.05
-    repetitions: int = 10
 
 
 @dataclass(frozen=True)
@@ -69,41 +59,6 @@ class SolveConfig:
     def __post_init__(self) -> None:
         if not self.references:
             raise ValueError("solve.references must not be empty")
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Closed-loop evaluation grid for the final stage."""
-
-    references: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0)
-    seeds: tuple[int, ...] = (1, 2, 3)
-    sensor_noise_sigma: float = 0.05
-    episode_duration: float = 5.0
-
-    def __post_init__(self) -> None:
-        for key in ("references", "seeds"):
-            if not getattr(self, key):
-                raise ValueError(f"eval.{key} must not be empty")
-
-
-def _fits_json_type(value, annotation) -> bool:
-    """Whether a decoded JSON value matches a config field's annotation.
-
-    int fields take integers, float fields take integers or floats, and
-    ``tuple[T, ...]`` fields take lists of T.  Booleans are not numbers here.
-    """
-    if typing.get_origin(annotation) is tuple:
-        item = typing.get_args(annotation)[0]
-        return isinstance(value, (list, tuple)) and all(_fits_json_type(v, item) for v in value)
-    if isinstance(value, bool):
-        return annotation is bool
-    return isinstance(value, (int, float) if annotation is float else annotation)
-
-
-def _check_json_type(where: str, name: str, value, annotation) -> None:
-    if not _fits_json_type(value, annotation):
-        expected = annotation.__name__ if isinstance(annotation, type) else annotation
-        raise ValueError(f"{where}: wrongly typed value ({name} must be {expected}, got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -122,26 +77,16 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         def sub(key, klass):
-            block = raw.get(key, {})
-            if not isinstance(block, dict):
-                raise ValueError(f"config section {key!r} must be an object")
-            known = {f.name for f in dataclasses.fields(klass)}
-            unknown = set(block) - known
-            if unknown:
-                raise ValueError(f"config section {key!r}: unknown keys {sorted(unknown)}")
-            if key == "train" and "seed" in block:
-                raise ValueError("train.seed is not settable; set the top-level 'seed' instead")
-            hints = typing.get_type_hints(klass)
-            for name, value in block.items():
-                _check_json_type(f"config section {key!r}", name, value, hints[name])
-            return klass(**{k: tuple(v) if isinstance(v, list) else v for k, v in block.items()})
+            return read_section(raw.get(key, {}), klass, f"config section {key!r}")
 
-        known_top = {"seed", "grid", "cost", "data", "solve", "train", "eval", "hybrid"}
-        unknown_top = set(raw) - known_top
+        unknown_top = set(raw) - {f.name for f in dataclasses.fields(cls)}
         if unknown_top:
             raise ValueError(f"unknown config keys {sorted(unknown_top)}")
-        seed = raw.get("seed", 0)
-        _check_json_type("config key 'seed'", "seed", seed, int)
+        train = raw.get("train", {})
+        if isinstance(train, dict) and "seed" in train:
+            raise ValueError("train.seed is not settable; set the top-level 'seed' instead")
+        seed = raw.get("seed", cls.seed)
+        check_json_type("config key 'seed'", "seed", seed, int)
         return cls(
             seed=seed,
             grid=sub("grid", GridSpec),
@@ -174,14 +119,7 @@ def run_fit_stage(cfg: PipelineConfig, out_dir: Path) -> dict:
     model_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
     for zi, (name, zone) in enumerate(TRAINING_ZONES.items()):
-        depths, forces = generate_zone_data(
-            zone,
-            step=cfg.data.step,
-            max_force=cfg.data.max_force,
-            noise_sigma=cfg.data.noise_sigma,
-            repetitions=cfg.data.repetitions,
-            seed=derive_seed(cfg.seed, STAGE_FIT, zi),
-        )
+        depths, forces = generate_zone_data(zone, cfg.data, derive_seed(cfg.seed, STAGE_FIT, zi))
         save_zone_csv(data_dir / f"{name}.csv", depths, forces)
         report = fit_exponential(depths, forces)
         if not report.converged:
@@ -314,14 +252,7 @@ def run_eval_stage(cfg: PipelineConfig, out_dir: Path) -> dict:
         raise StageError("evaluate", f"missing trained model {module_path}")
     module = AdaptationModule.load(module_path)
     rows = evaluate_suite(
-        ALL_ZONES,
-        list(cfg.eval.references),
-        module,
-        list(cfg.eval.seeds),
-        hybrid_cfg=cfg.hybrid,
-        sensor_noise_sigma=cfg.eval.sensor_noise_sigma,
-        episode_duration=cfg.eval.episode_duration,
-        base_seed=derive_seed(cfg.seed, STAGE_EVAL),
+        ALL_ZONES, module, cfg.eval, cfg.hybrid, base_seed=derive_seed(cfg.seed, STAGE_EVAL)
     )
     save_metrics_csv(out_dir / "metrics.csv", rows)
     conv = [r["converge_s"] for r in rows if r["converge_s"] is not None]
@@ -340,7 +271,6 @@ def run_pipeline(
     resume: bool = False,
     dry_run: bool = False,
     allow_unconverged: bool = False,
-    log=print,
 ) -> dict:
     """Run all stages in order, honoring sentinels when resuming.
 
@@ -354,7 +284,7 @@ def run_pipeline(
     ]
     if dry_run:
         for stage, skip in plan:
-            log(f"{'skip' if skip else 'run '} {stage}")
+            print(f"{'skip' if skip else 'run '} {stage}")
         return {}
     out_dir.mkdir(parents=True, exist_ok=True)
     runners = {
@@ -367,12 +297,12 @@ def run_pipeline(
     summary = json.loads(summary_path.read_text()) if (resume and summary_path.exists()) else {}
     for stage, skip in plan:
         if skip:
-            log(f"[{stage}] already complete, skipping")
+            print(f"[{stage}] already complete, skipping")
             continue
-        log(f"[{stage}] running")
+        print(f"[{stage}] running")
         summary[stage] = runners[stage]()
         _sentinel(out_dir, stage).write_text("")
         # Persist incrementally so --resume keeps earlier stage summaries.
         summary_path.write_text(json.dumps(summary, indent=2) + "\n")
-    log(f"[done] summary written to {summary_path}")
+    print(f"[done] summary written to {summary_path}")
     return summary

@@ -9,6 +9,7 @@ stage cost trades squared force error against squared gain.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import read_section
 from .contact import ContactModel
 
 # One numpy kernel solves every policy; benchmarks/run.py still reads this
@@ -58,29 +60,6 @@ class GridSpec:
     def u_grid(self) -> np.ndarray:
         return np.linspace(self.u_min, self.u_max, self.u_steps)
 
-    def to_dict(self) -> dict:
-        return {
-            "x_min": self.x_min,
-            "x_max": self.x_max,
-            "x_steps": self.x_steps,
-            "u_min": self.u_min,
-            "u_max": self.u_max,
-            "u_steps": self.u_steps,
-            "dt": self.dt,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "GridSpec":
-        return cls(
-            x_min=float(raw["x_min"]),
-            x_max=float(raw["x_max"]),
-            x_steps=int(raw["x_steps"]),
-            u_min=float(raw["u_min"]),
-            u_max=float(raw["u_max"]),
-            u_steps=int(raw["u_steps"]),
-            dt=float(raw["dt"]),
-        )
-
 
 @dataclass(frozen=True)
 class CostParams:
@@ -107,10 +86,6 @@ class PolicyTable:
     sweeps: int
     converged: bool
     monotone: bool = True
-
-    def kp_at(self, x) -> float | np.ndarray:
-        """Piecewise-linear gain lookup between grid nodes."""
-        return np.interp(x, self.x_grid, self.kp_values)
 
 
 def _value_iteration(x, forces, kp, reference, dt, cost_a, cost_b, gamma, tol, max_sweeps):
@@ -293,7 +268,7 @@ def save_policy(
         "sweeps": table.sweeps,
         "monotone": table.monotone,
         "gamma": gamma,
-        "grid": grid.to_dict(),
+        "grid": dataclasses.asdict(grid),
         "cost": {"a": cost.a, "b": cost.b},
     }
     (directory / f"{stem}.json").write_text(json.dumps(sidecar, indent=2) + "\n")
@@ -319,8 +294,12 @@ def load_policy(csv_path: str | Path) -> tuple[PolicyTable, dict]:
     except json.JSONDecodeError as exc:
         raise ValueError(f"{sidecar_path}: invalid JSON at line {exc.lineno}") from exc
     try:
-        x_grid = GridSpec.from_dict(sidecar["grid"]).x_grid()
-    except (KeyError, TypeError) as exc:
+        # Config sections may omit keys; a sidecar records every one.
+        absent = {f.name for f in dataclasses.fields(GridSpec)} - set(sidecar["grid"])
+        if absent:
+            raise KeyError(sorted(absent))
+        x_grid = read_section(sidecar["grid"], GridSpec, "grid").x_grid()
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{sidecar_path}: missing or malformed grid ({exc!r})") from exc
     if len(data) != x_grid.size or not np.array_equal(data[:, 0], x_grid):
         raise ValueError(

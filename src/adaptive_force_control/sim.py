@@ -9,8 +9,6 @@ time from contact, overshoot, steady-state error.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +17,14 @@ import numpy as np
 
 from .contact import ContactModel
 from .controller import HybridConfig, HybridController, Mode
+
+
+# The tool starts this far (m) above the surface.
+START_HEIGHT = 0.005
+
+# An episode has converged once the force error stays within this fraction
+# of the reference.
+BAND_FRACTION = 0.05
 
 
 def derive_seed(base: int, *parts: int) -> int:
@@ -32,10 +38,9 @@ class SimConfig:
 
     zone: ContactModel
     reference: float
-    control_period: float = 0.01
+    control_period: float = HybridConfig.control_period
     sensor_noise_sigma: float = 0.05
     episode_duration: float = 5.0
-    start_height: float = 0.005  # tool starts this far above the surface
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,7 +64,6 @@ class Trajectory:
     mode: np.ndarray
     command: np.ndarray
     config: SimConfig
-    model_hash: str
 
     def __len__(self) -> int:
         return self.time.size
@@ -73,12 +77,6 @@ class SimulationFault(RuntimeError):
         self.step = step
 
 
-def model_hash(model: ContactModel) -> str:
-    """Stable short fingerprint of a contact model's parameters."""
-    payload = json.dumps({"a": model.a, "b": model.b, "c": model.c}, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def run_episode(cfg: SimConfig, controller: HybridController) -> Trajectory:
     """Fixed-step closed loop: sense, control, move; deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
@@ -88,7 +86,7 @@ def run_episode(cfg: SimConfig, controller: HybridController) -> Trajectory:
         if cfg.sensor_noise_sigma > 0.0
         else np.zeros(n)
     )
-    tool = -cfg.start_height
+    tool = -START_HEIGHT
     time = np.arange(n) * cfg.control_period
     depth = np.empty(n)
     measured = np.empty(n)
@@ -119,7 +117,6 @@ def run_episode(cfg: SimConfig, controller: HybridController) -> Trajectory:
         mode=mode_log,
         command=command_log,
         config=cfg,
-        model_hash=model_hash(cfg.zone),
     )
 
 
@@ -134,20 +131,16 @@ class EpisodeMetrics:
     retracted: bool
 
 
-def compute_metrics(
-    traj: Trajectory, reference: float, band_fraction: float = 0.05
-) -> EpisodeMetrics:
+def compute_metrics(traj: Trajectory, reference: float) -> EpisodeMetrics:
     """Extract settling/overshoot/steady-state figures from a trajectory.
 
     Convergence time runs from the first regulation step (contact) to the
-    moment the measured force error last leaves the tolerance band; an
+    moment the measured force error last leaves the ``BAND_FRACTION`` band; an
     episode that never regulates, or whose error is still outside the band
     at the end, is not settled.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    if band_fraction <= 0.0:
-        raise ValueError("band_fraction must be positive")
     period = traj.config.control_period
     overshoot = max(0.0, float(traj.measured_force.max()) - reference)
     tail = max(1, int(round(0.2 * len(traj))))
@@ -158,7 +151,7 @@ def compute_metrics(
         return EpisodeMetrics(None, overshoot, sse, settled=False, retracted=retracted)
     start = int(contact_idx[0])
     err = np.abs(traj.measured_force[start:] - reference)
-    outside = np.flatnonzero(err > band_fraction * reference)
+    outside = np.flatnonzero(err > BAND_FRACTION * reference)
     if outside.size == 0:
         return EpisodeMetrics(0.0, overshoot, sse, settled=True, retracted=retracted)
     if outside[-1] == err.size - 1:
@@ -179,15 +172,33 @@ def save_trajectory(path: str | Path, traj: Trajectory) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@dataclass(frozen=True)
+class EvalConfig:
+    """Closed-loop evaluation grid for the final stage."""
+
+    references: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0)
+    seeds: tuple[int, ...] = (1, 2, 3)
+    sensor_noise_sigma: float = SimConfig.sensor_noise_sigma
+    episode_duration: float = SimConfig.episode_duration
+
+    def __post_init__(self) -> None:
+        for key in ("references", "seeds"):
+            if not getattr(self, key):
+                raise ValueError(f"eval.{key} must not be empty")
+        if not self.sensor_noise_sigma >= 0.0:
+            raise ValueError(
+                f"eval.sensor_noise_sigma must be nonnegative, got {self.sensor_noise_sigma}"
+            )
+        if not self.episode_duration > 0.0:
+            raise ValueError(f"eval.episode_duration must be positive, got {self.episode_duration}")
+
+
 def evaluate_suite(
     zones: dict[str, ContactModel],
-    references: list[float],
     module,
-    seeds: list[int],
-    hybrid_cfg: HybridConfig | None = None,
-    sensor_noise_sigma: float = 0.05,
-    episode_duration: float = 5.0,
-    base_seed: int = 0,
+    eval: EvalConfig,
+    hybrid: HybridConfig,
+    base_seed: int,
 ) -> list[dict]:
     """Run the zones x references x seeds grid; one metrics row per episode.
 
@@ -195,22 +206,21 @@ def evaluate_suite(
     reference index) so rows are independent and the whole table is
     reproducible.  Faulted episodes become failed rows instead of aborting.
     """
-    if not zones or not references or not seeds:
-        raise ValueError("zones, references, and seeds must be non-empty")
-    hybrid_cfg = hybrid_cfg or HybridConfig()
+    if not zones:
+        raise ValueError("zones must be non-empty")
     rows = []
     for zi, (zone_name, zone) in enumerate(zones.items()):
-        for ri, reference in enumerate(references):
-            for seed in seeds:
+        for ri, reference in enumerate(eval.references):
+            for seed in eval.seeds:
                 cfg = SimConfig(
                     zone=zone,
                     reference=reference,
-                    control_period=hybrid_cfg.control_period,
-                    sensor_noise_sigma=sensor_noise_sigma,
-                    episode_duration=episode_duration,
+                    control_period=hybrid.control_period,
+                    sensor_noise_sigma=eval.sensor_noise_sigma,
+                    episode_duration=eval.episode_duration,
                     seed=derive_seed(base_seed, seed, zi, ri),
                 )
-                controller = HybridController(module=module, reference=reference, cfg=hybrid_cfg)
+                controller = HybridController(module=module, reference=reference, cfg=hybrid)
                 row = {"zone": zone_name, "reference_n": reference, "seed": seed}
                 try:
                     traj = run_episode(cfg, controller)

@@ -11,24 +11,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+# Smallest |dx| (m) that forms a secant; shorter steps hold the estimate.
+MIN_DISPLACEMENT = 1e-7
+
 
 @dataclass
 class StiffnessDetector:
     """Secant-slope stiffness estimator for one control loop.
 
     Near-zero displacements would blow up the quotient, so updates with
-    |dx| < min_displacement hold the previous estimate.  Negative slopes
+    |dx| < MIN_DISPLACEMENT hold the previous estimate.  Negative slopes
     (possible under sensor noise) are clamped to 0 because the downstream
     gain network never sees negative stiffness in training.
     """
 
-    min_displacement: float = 1e-7
     last_force: float | None = field(default=None, init=False)
     last_stiffness: float | None = field(default=None, init=False)
-
-    def __post_init__(self) -> None:
-        if not (self.min_displacement > 0.0):
-            raise ValueError("min_displacement must be positive")
 
     def update(self, current_force: float, displacement_last_period: float) -> float | None:
         """Feed one force reading; returns the stiffness estimate (N/m).
@@ -40,7 +38,7 @@ class StiffnessDetector:
             raise ValueError("non-finite input to stiffness detector")
         if (
             self.last_force is not None
-            and abs(displacement_last_period) >= self.min_displacement
+            and abs(displacement_last_period) >= MIN_DISPLACEMENT
         ):
             raw = (current_force - self.last_force) / displacement_last_period
             self.last_stiffness = max(raw, 0.0)

@@ -16,9 +16,10 @@ from dp_oracle import oracle_solve
 from fd_oracle import draw_checkable_case, max_relative_gradient_error
 
 from adaptive_force_control import cli
-from adaptive_force_control.contact import fit_exponential, generate_zone_data
+from adaptive_force_control.contact import DataConfig, fit_exponential, generate_zone_data
+from adaptive_force_control.controller import HybridConfig
 from adaptive_force_control.policy import CostParams, solve_policy_tabular
-from adaptive_force_control.sim import evaluate_suite
+from adaptive_force_control.sim import EvalConfig, evaluate_suite
 from adaptive_force_control.stiffness import StiffnessDetector
 from adaptive_force_control.zones import ALL_ZONES, TRAINING_ZONES
 
@@ -130,14 +131,14 @@ def test_4_fit_recovery(acceptance):
         )
 
     for zone in ALL_ZONES.values():
-        depths, forces = generate_zone_data(zone, noise_sigma=0.0, repetitions=1, seed=0)
+        depths, forces = generate_zone_data(zone, DataConfig(noise_sigma=0.0, repetitions=1), seed=0)
         report = fit_exponential(depths, forces)
         worst_clean = max(worst_clean, *relative_errors(report.model, zone))
         ok &= report.converged
 
     for zone in ALL_ZONES.values():
         for seed in range(20):
-            depths, forces = generate_zone_data(zone, noise_sigma=0.1, seed=seed)
+            depths, forces = generate_zone_data(zone, DataConfig(noise_sigma=0.1), seed=seed)
             report = fit_exponential(depths, forces)
             worst_noisy = max(worst_noisy, *relative_errors(report.model, zone))
             ok &= report.converged
@@ -166,11 +167,15 @@ def test_6_closed_loop_settles_everywhere(acceptance, trained_adaptation):
     start = time.perf_counter()
     rows = evaluate_suite(
         ALL_ZONES,
-        [5.0, 10.0, 15.0, 20.0],
         trained_adaptation["module"],
-        seeds=[1, 2, 3],
-        sensor_noise_sigma=0.05,
-        episode_duration=5.0,
+        EvalConfig(
+            references=(5.0, 10.0, 15.0, 20.0),
+            seeds=(1, 2, 3),
+            sensor_noise_sigma=0.05,
+            episode_duration=5.0,
+        ),
+        HybridConfig(),
+        base_seed=0,
     )
     elapsed = time.perf_counter() - start
 

@@ -17,6 +17,7 @@ import pytest
 from adaptive_force_control import cli
 from adaptive_force_control.contact import (
     ContactModel,
+    DataConfig,
     FitReport,
     generate_zone_data,
     save_zone_csv,
@@ -96,6 +97,21 @@ MICRO_CONFIG = {
 MICRO_TREE_DIGEST = "a1819246598ba6b402e87ef86232082a7c133f995ec391e142a3787545706dc2"
 
 
+# sha256 over the stdout of DEFAULT_FLAG_COMMANDS, then "<relative path>\0<file
+# sha256>\n" for every file they write in sorted path order.  Recorded while
+# the flag defaults were still literals in build_parser (numpy 2.4 with its
+# bundled OpenBLAS); any change to a default or to what the commands compute
+# or print moves it.
+DEFAULT_FLAGS_DIGEST = "7f5042dc1ae4638c2aa5f41c907920f0e0a5d3a00ca34c0521944421112772e9"
+
+DEFAULT_FLAG_COMMANDS = (
+    ["fit", "--synthetic", "zone1"],
+    ["solve", "--model", "zone1_model.json", "--r", "5,10"],
+    ["train", "--policies", "policies", "--model", "zone1_model.json"],
+    ["simulate", "--zone", "zone4", "--kp-const", "0.2", "--r", "5", "--out", "traj.csv"],
+)
+
+
 @pytest.fixture(scope="module")
 def micro_config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "micro.json"
@@ -173,7 +189,7 @@ class TestFit:
     def test_multiple_csvs_fan_out(self, capsys, tmp_path):
         for name in ("zone1", "zone2", "zone3"):
             depths, forces = generate_zone_data(
-                get_zone(name), noise_sigma=0.0, repetitions=1, seed=0
+                get_zone(name), DataConfig(noise_sigma=0.0, repetitions=1), seed=0
             )
             save_zone_csv(tmp_path / f"{name}.csv", depths, forces)
         rc, out, _ = run_cli(
@@ -285,6 +301,16 @@ class TestSolve:
         )
         assert rc == 2
         assert "error:" in err
+
+    def test_zero_dt_exits_2(self, capsys, tmp_path, zone1_model_path):
+        out = tmp_path / "never_created"
+        rc, _, err = run_cli(
+            capsys,
+            ["solve", "--model", str(zone1_model_path), "--r", "5", "--dt", "0", "--out", str(out)],
+        )
+        assert rc == 2
+        assert "dt must be positive" in err
+        assert not out.exists()
 
     def test_empty_reference_list_exits_2(self, capsys, tmp_path, zone1_model_path):
         out = tmp_path / "never_created"
@@ -474,6 +500,20 @@ class TestSimulate:
         )
         assert rc == 2
         assert "error:" in err
+
+
+class TestDefaultFlags:
+    def test_outputs_match_golden_digest(self, capsys, tmp_path, monkeypatch):
+        # Relative paths throughout, so stdout holds no temporary directory.
+        monkeypatch.chdir(tmp_path)
+        digest = hashlib.sha256()
+        for argv in DEFAULT_FLAG_COMMANDS:
+            rc, out, _ = run_cli(capsys, argv)
+            assert rc == 0, argv
+            digest.update(out.encode())
+        for rel, file_digest in tree_digest(tmp_path).items():
+            digest.update(f"{rel}\0{file_digest}\n".encode())
+        assert digest.hexdigest() == DEFAULT_FLAGS_DIGEST
 
 
 class TestReproduce:
@@ -678,6 +718,22 @@ class TestReproduce:
         rc, _, err = run_cli(capsys, ["reproduce", "--config", str(cfg_path), "--out", str(out)])
         assert rc == 2
         assert f"{section}.{key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document,message", [
+        ({"data": {"step": 0}}, "data.step must be positive"),
+        ({"data": {"repetitions": 0}}, "data.repetitions must be >= 1"),
+        ({"data": {"noise_sigma": -0.1}}, "data.noise_sigma must be >= 0"),
+        ({"eval": {"episode_duration": 0}}, "eval.episode_duration must be positive"),
+        ({"eval": {"sensor_noise_sigma": -0.05}}, "eval.sensor_noise_sigma must be nonnegative"),
+    ], ids=["data-step", "data-repetitions", "data-noise", "eval-duration", "eval-noise"])
+    def test_out_of_range_value_exits_2(self, capsys, tmp_path, document, message):
+        cfg_path = tmp_path / "range.json"
+        cfg_path.write_text(json.dumps(document))
+        out = tmp_path / "x"
+        rc, _, err = run_cli(capsys, ["reproduce", "--config", str(cfg_path), "--out", str(out)])
+        assert rc == 2
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("document", ["[]", "3", "null"])

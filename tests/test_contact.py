@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from adaptive_force_control.contact import (
+    MAX_ITERATIONS,
     ContactModel,
+    DataConfig,
     fit_exponential,
     generate_zone_data,
     load_zone_csv,
@@ -84,6 +86,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ContactModel.from_json(path)
 
+    def test_json_invalid_file_named(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"a": 2.0,\n "b" -100.0}')
+        with pytest.raises(ValueError, match="invalid JSON at line 2") as info:
+            ContactModel.from_json(path)
+        assert str(path) in str(info.value)
+
 
 class TestFitExponential:
     def test_noiseless_roundtrip(self):
@@ -131,13 +140,13 @@ class TestFitExponential:
     def test_iteration_budget_reported(self):
         depths = np.linspace(0.0, 0.02, 50)
         report = fit_exponential(depths, REF_MODEL.force_at(depths))
-        assert 0 < report.iterations <= 200
+        assert 0 < report.iterations <= MAX_ITERATIONS
 
 
 class TestGenerateZoneData:
     def test_zero_noise_identity(self):
         depths, forces = generate_zone_data(
-            REF_MODEL, step=0.001, max_force=5.0, noise_sigma=0.0, repetitions=1, seed=0
+            REF_MODEL, DataConfig(step=0.001, max_force=5.0, noise_sigma=0.0, repetitions=1), seed=0
         )
         assert np.array_equal(depths, np.arange(depths.size) * 0.001)
         assert np.array_equal(forces, REF_MODEL.force_at(depths))
@@ -147,18 +156,18 @@ class TestGenerateZoneData:
 
     def test_zero_noise_identity_with_repetitions(self):
         _, forces = generate_zone_data(
-            REF_MODEL, step=0.001, max_force=5.0, noise_sigma=0.0, repetitions=10, seed=3
+            REF_MODEL, DataConfig(step=0.001, max_force=5.0, noise_sigma=0.0, repetitions=10), seed=3
         )
         depths, _ = generate_zone_data(
-            REF_MODEL, step=0.001, max_force=5.0, noise_sigma=0.0, repetitions=1, seed=0
+            REF_MODEL, DataConfig(step=0.001, max_force=5.0, noise_sigma=0.0, repetitions=1), seed=0
         )
         assert np.array_equal(forces, REF_MODEL.force_at(depths))
 
     def test_seed_determinism(self):
-        kwargs = dict(step=0.001, max_force=5.0, noise_sigma=0.1, repetitions=10)
-        _, f1 = generate_zone_data(REF_MODEL, seed=42, **kwargs)
-        _, f2 = generate_zone_data(REF_MODEL, seed=42, **kwargs)
-        _, f3 = generate_zone_data(REF_MODEL, seed=43, **kwargs)
+        data = DataConfig(step=0.001, max_force=5.0, noise_sigma=0.1, repetitions=10)
+        _, f1 = generate_zone_data(REF_MODEL, data, seed=42)
+        _, f2 = generate_zone_data(REF_MODEL, data, seed=42)
+        _, f3 = generate_zone_data(REF_MODEL, data, seed=43)
         assert np.array_equal(f1, f2)
         assert not np.array_equal(f1, f3)
 
@@ -167,8 +176,8 @@ class TestGenerateZoneData:
         sigma, reps = 0.1, 10
         samples = [
             generate_zone_data(
-                REF_MODEL, step=0.001, max_force=5.0, noise_sigma=sigma,
-                repetitions=reps, seed=seed,
+                REF_MODEL, DataConfig(step=0.001, max_force=5.0, noise_sigma=sigma, repetitions=reps),
+                seed=seed,
             )[1][5]
             for seed in range(60)
         ]
@@ -181,16 +190,22 @@ class TestGenerateZoneData:
         dict(noise_sigma=-0.1), dict(max_force=-1.0),
     ])
     def test_bad_arguments_rejected(self, kwargs):
-        base = dict(step=0.001, max_force=5.0, noise_sigma=0.05, repetitions=10, seed=0)
+        # DataConfig rejects each of these before any data is drawn.
+        base = dict(step=0.001, max_force=5.0, noise_sigma=0.05, repetitions=10)
         base.update(kwargs)
-        with pytest.raises(ValueError):
-            generate_zone_data(REF_MODEL, **base)
+        with pytest.raises(ValueError, match="data"):
+            DataConfig(**base)
+
+    def test_stop_force_at_surface_rejected(self):
+        shifted = ContactModel(a=2.0, b=-100.0, c=4.0)
+        with pytest.raises(ValueError, match="max_force must exceed the force at zero depth"):
+            generate_zone_data(shifted, DataConfig(max_force=5.0), seed=0)
 
 
 class TestZoneCsv:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "zone.csv"
-        depths, forces = generate_zone_data(REF_MODEL, step=0.001, max_force=5.0, seed=1)
+        depths, forces = generate_zone_data(REF_MODEL, DataConfig(step=0.001, max_force=5.0), seed=1)
         save_zone_csv(path, depths, forces)
         got_d, got_f = load_zone_csv(path)
         assert np.array_equal(got_d, depths)

@@ -30,7 +30,6 @@ from adaptive_force_control import (
 from adaptive_force_control.mlp import (
     LAYER_SHAPES,
     fit_scaler,
-    load_dataset,
     loss_and_gradient,
     save_dataset,
 )
@@ -63,13 +62,6 @@ def assert_matches_adam_oracle(features, labels, config):
 
 
 class TestScaler:
-    def test_roundtrip_identity(self):
-        rng = np.random.default_rng(5)
-        scaler = fit_scaler(rng.uniform(-50.0, 400.0, (30, 3)))
-        x = rng.uniform(-50.0, 400.0, (10, 3))
-        back = scaler.inverse_transform(scaler.transform(x))
-        assert np.max(np.abs(back - x)) < 1e-12
-
     def test_standardizes_columns(self):
         rng = np.random.default_rng(6)
         feats = rng.normal(7.0, 3.0, (500, 3))
@@ -192,18 +184,6 @@ class TestGradient:
         assert mse2 == pytest.approx(mse1, rel=1e-12)
         for a, b in zip(g1.weights + g1.biases, g2.weights + g2.biases):
             assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
-
-    def test_scaler_argument_matches_prestandardized(self):
-        rng = np.random.default_rng(9)
-        params = init_params(9)
-        raw = rng.uniform(0.0, 300.0, (16, 3))
-        y = rng.uniform(0.0, 1.0, 16)
-        scaler = fit_scaler(raw)
-        mse_a, g_a = loss_and_gradient(params, raw, y, scaler=scaler)
-        mse_b, g_b = loss_and_gradient(params, scaler.transform(raw), y)
-        assert mse_a == mse_b
-        for a, b in zip(g_a.weights + g_a.biases, g_b.weights + g_b.biases):
-            assert np.array_equal(a, b)
 
     def test_rejects_empty_batch(self):
         with pytest.raises(ValueError):
@@ -446,29 +426,11 @@ class TestDatasetIO:
         labels = rng.uniform(0.0, 1.0, 40)
         path = tmp_path / "dataset.csv"
         save_dataset(path, features, labels)
-        f2, l2 = load_dataset(path)
-        assert np.array_equal(f2, features)
-        assert np.array_equal(l2, labels)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, :3], features)
+        assert np.array_equal(data[:, 3], labels)
 
     def test_header(self, tmp_path):
         path = tmp_path / "dataset.csv"
         save_dataset(path, np.zeros((1, 3)), np.zeros(1))
         assert path.read_text().splitlines()[0] == "r_n,f_n,dfdx_n_per_m,kp"
-
-    def test_wrong_header_rejected(self, tmp_path):
-        path = tmp_path / "dataset.csv"
-        path.write_text("a,b,c,d\n1,2,3,4\n")
-        with pytest.raises(ValueError, match="header"):
-            load_dataset(path)
-
-    def test_bad_row_rejected(self, tmp_path):
-        path = tmp_path / "dataset.csv"
-        path.write_text("r_n,f_n,dfdx_n_per_m,kp\n1,2,x,4\n")
-        with pytest.raises(ValueError, match="row"):
-            load_dataset(path)
-
-    def test_empty_rejected(self, tmp_path):
-        path = tmp_path / "dataset.csv"
-        path.write_text("r_n,f_n,dfdx_n_per_m,kp\n")
-        with pytest.raises(ValueError, match="no data"):
-            load_dataset(path)

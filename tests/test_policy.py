@@ -4,6 +4,7 @@ The solver is cross-checked against tests/dp_oracle.py, a deliberately
 independent plain-Python dynamic-programming implementation.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from adaptive_force_control import (
     solve_policy,
     solve_policy_tabular,
 )
+from adaptive_force_control.config import read_section
 from adaptive_force_control.pipeline import SolveConfig, solve_policies
 
 ZONE = ContactModel(a=2.0, b=-100.0, c=-2.0)
@@ -90,7 +92,7 @@ class TestConfigTypes:
 
     def test_grid_dict_roundtrip(self):
         g = GridSpec(x_max=0.05, x_steps=301, dt=0.01)
-        assert GridSpec.from_dict(g.to_dict()) == g
+        assert read_section(dataclasses.asdict(g), GridSpec, "grid") == g
 
     @pytest.mark.parametrize("kwargs", [{"a": 0.0}, {"a": -1.0}, {"b": -0.1}])
     def test_cost_validation(self, kwargs):
@@ -273,7 +275,8 @@ class TestSolvePolicyWrapper:
         assert table.converged
         x = 0.0
         for _ in range(600):
-            x += grid.dt * float(table.kp_at(x)) * (reference - zone.force_at(x))
+            kp = float(np.interp(x, table.x_grid, table.kp_values))
+            x += grid.dt * kp * (reference - zone.force_at(x))
             x = min(max(x, grid.x_min), grid.x_max)
         assert abs(zone.force_at(x) - reference) < 0.05 * reference
 
@@ -320,7 +323,7 @@ class TestPolicyIO:
         assert loaded.converged == table.converged
         assert sidecar["gamma"] == 0.995
         assert sidecar["cost"] == {"a": 1.0, "b": 40.0}
-        assert GridSpec.from_dict(sidecar["grid"]) == grid
+        assert sidecar["grid"] == dataclasses.asdict(grid)
 
     @pytest.mark.parametrize("reference,stem", [
         (5.0, "policy_r5"),
@@ -359,15 +362,21 @@ class TestPolicyIO:
     @pytest.mark.parametrize("edit,match", [
         (lambda sidecar: sidecar["grid"].update(x_max=0.04), "5-node depth grid"),
         (lambda sidecar: sidecar.pop("grid"), "missing or malformed grid"),
-    ], ids=["depths-off-grid", "no-grid"])
+        (lambda sidecar: sidecar["grid"].update(x_min="abc"), "x_min must be float"),
+        (lambda sidecar: sidecar["grid"].update(x_steps=5.9), "x_steps must be int"),
+        (lambda sidecar: sidecar["grid"].pop("u_steps"), "u_steps"),
+        (lambda sidecar: sidecar["grid"].update(x_steps=1), "x_steps and u_steps must be at least 2"),
+    ], ids=["depths-off-grid", "no-grid", "str-float", "float-int", "no-key", "out-of-range"])
     def test_bad_sidecar_grid_rejected(self, tmp_path, edit, match):
         table = self.make_table()
         path = save_policy(tmp_path, table, GridSpec(x_steps=5, u_steps=5), CostParams())
         sidecar = json.loads(path.with_suffix(".json").read_text())
         edit(sidecar)
         path.with_suffix(".json").write_text(json.dumps(sidecar))
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as info:
             load_policy(path)
+        # The CSV and its sidecar share a stem; either one names the pair.
+        assert str(path.with_suffix("")) in str(info.value)
 
     @pytest.mark.parametrize("key", ["reference_n", "sweeps", "converged"])
     def test_sidecar_missing_field_named(self, tmp_path, key):
@@ -391,9 +400,3 @@ class TestPolicyIO:
             load_policy(path)
         assert str(sidecar_path) in str(info.value)
 
-    def test_kp_at_interpolates_and_clamps(self):
-        table = self.make_table()
-        mid = 0.5 * (table.kp_values[0] + table.kp_values[1])
-        assert table.kp_at(0.0025) == pytest.approx(mid)
-        assert table.kp_at(-1.0) == table.kp_values[0]
-        assert table.kp_at(1.0) == table.kp_values[-1]
