@@ -98,7 +98,7 @@ def cmd_solve(args) -> int:
     model = ContactModel.from_json(args.model)
     grid = GridSpec(dt=args.dt)
     cost = CostParams(a=args.cost_a, b=args.cost_b)
-    references = _parse_references(args.r) if args.r else SolveConfig.references
+    references = _parse_references(args.r) if args.r is not None else SolveConfig.references
     solve = SolveConfig(
         references=tuple(references), gamma=args.gamma, tol=args.tol, max_sweeps=args.max_sweeps
     )

@@ -35,7 +35,7 @@ from .policy import (
     save_policy,
     solve_policy,
 )
-from .sim import EvalConfig, derive_seed, evaluate_suite, save_metrics_csv
+from .sim import EvalConfig, derive_seed, episode_steps, evaluate_suite, save_metrics_csv
 from .zones import ALL_ZONES, TRAINING_ZONES
 
 # Fixed stage indices for the seed fan-out rule:
@@ -73,6 +73,13 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     hybrid: HybridConfig = field(default_factory=HybridConfig)
+
+    def __post_init__(self) -> None:
+        if episode_steps(self.eval.episode_duration, self.hybrid.control_period) < 1:
+            raise ValueError(
+                f"eval.episode_duration {self.eval.episode_duration} gives no control step "
+                f"at hybrid.control_period {self.hybrid.control_period}"
+            )
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":

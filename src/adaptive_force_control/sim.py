@@ -32,6 +32,11 @@ def derive_seed(base: int, *parts: int) -> int:
     return int(np.random.SeedSequence([int(base), *[int(p) for p in parts]]).generate_state(1)[0])
 
 
+def episode_steps(duration: float, period: float) -> int:
+    """Number of control steps in an episode of the given length."""
+    return int(round(duration / period))
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One episode's plant and sensing setup."""
@@ -44,12 +49,17 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.control_period <= 0.0 or self.episode_duration <= 0.0:
-            raise ValueError("control_period and episode_duration must be positive")
+        if not (self.control_period > 0.0 and 0.0 < self.episode_duration < math.inf):
+            raise ValueError("control_period must be positive and episode_duration positive and finite")
         if self.sensor_noise_sigma < 0.0:
             raise ValueError("sensor_noise_sigma must be nonnegative")
         if not math.isfinite(self.reference):
             raise ValueError("reference must be finite")
+        if episode_steps(self.episode_duration, self.control_period) < 1:
+            raise ValueError(
+                f"episode_duration {self.episode_duration} gives no control step "
+                f"at control_period {self.control_period}"
+            )
 
 
 @dataclass
@@ -80,7 +90,7 @@ class SimulationFault(RuntimeError):
 def run_episode(cfg: SimConfig, controller: HybridController) -> Trajectory:
     """Fixed-step closed loop: sense, control, move; deterministic per seed."""
     rng = np.random.default_rng(cfg.seed)
-    n = int(round(cfg.episode_duration / cfg.control_period))
+    n = episode_steps(cfg.episode_duration, cfg.control_period)
     noise = (
         rng.normal(0.0, cfg.sensor_noise_sigma, n)
         if cfg.sensor_noise_sigma > 0.0
@@ -189,8 +199,10 @@ class EvalConfig:
             raise ValueError(
                 f"eval.sensor_noise_sigma must be nonnegative, got {self.sensor_noise_sigma}"
             )
-        if not self.episode_duration > 0.0:
-            raise ValueError(f"eval.episode_duration must be positive, got {self.episode_duration}")
+        if not 0.0 < self.episode_duration < math.inf:
+            raise ValueError(
+                f"eval.episode_duration must be positive and finite, got {self.episode_duration}"
+            )
 
 
 def evaluate_suite(

@@ -314,12 +314,13 @@ class TestSolve:
 
     def test_empty_reference_list_exits_2(self, capsys, tmp_path, zone1_model_path):
         out = tmp_path / "never_created"
-        rc, _, err = run_cli(
-            capsys, ["solve", "--model", str(zone1_model_path), "--r", ",", "--out", str(out)]
-        )
-        assert rc == 2
-        assert "references must not be empty" in err
-        assert not out.exists()
+        for spec in (",", ""):
+            rc, _, err = run_cli(
+                capsys, ["solve", "--model", str(zone1_model_path), "--r", spec, "--out", str(out)]
+            )
+            assert rc == 2, spec
+            assert "references must not be empty" in err
+            assert not out.exists()
 
 
 class TestTrain:
@@ -493,6 +494,17 @@ class TestSimulate:
         )
         assert rc == 2
         assert "error:" in err
+
+    def test_zero_step_duration_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "traj.csv"
+        rc, _, err = run_cli(
+            capsys,
+            ["simulate", "--zone", "zone1", "--kp-const", "0.2", "--r", "5",
+             "--duration", "0.004", "--out", str(out)],
+        )
+        assert rc == 2
+        assert "episode_duration 0.004 gives no control step" in err
+        assert not out.exists()
 
     def test_unknown_zone_exits_2(self, capsys):
         rc, _, err = run_cli(
@@ -726,7 +738,12 @@ class TestReproduce:
         ({"data": {"noise_sigma": -0.1}}, "data.noise_sigma must be >= 0"),
         ({"eval": {"episode_duration": 0}}, "eval.episode_duration must be positive"),
         ({"eval": {"sensor_noise_sigma": -0.05}}, "eval.sensor_noise_sigma must be nonnegative"),
-    ], ids=["data-step", "data-repetitions", "data-noise", "eval-duration", "eval-noise"])
+        ({"eval": {"episode_duration": 0.004}},
+         "eval.episode_duration 0.004 gives no control step at hybrid.control_period 0.01"),
+        ({"eval": {"episode_duration": float("inf")}},
+         "eval.episode_duration must be positive and finite"),
+    ], ids=["data-step", "data-repetitions", "data-noise", "eval-duration", "eval-noise",
+            "eval-zero-steps", "eval-infinite-duration"])
     def test_out_of_range_value_exits_2(self, capsys, tmp_path, document, message):
         cfg_path = tmp_path / "range.json"
         cfg_path.write_text(json.dumps(document))

@@ -6,6 +6,7 @@ independent plain-Python dynamic-programming implementation.
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from adaptive_force_control import (
     solve_policy,
     solve_policy_tabular,
 )
+from adaptive_force_control import policy as policy_module
 from adaptive_force_control.config import read_section
 from adaptive_force_control.pipeline import SolveConfig, solve_policies
 
@@ -54,18 +56,24 @@ def random_instance(rng):
 
 
 def assert_matches_oracle(x, forces, kp, reference, gamma, max_sweeps=400, cost_b=40.0):
-    table = solve_policy_tabular(
-        x, forces, kp, reference, 0.03,
-        CostParams(a=1.0, b=cost_b), gamma=gamma, tol=1e-6, max_sweeps=max_sweeps,
-    )
     values, policy, sweeps, converged = oracle_solve(
         list(x), list(kp), list(forces), reference, 0.03, 1.0, cost_b,
         gamma, 1e-6, max_sweeps,
     )
-    assert np.array_equal(table.value_function, np.asarray(values))
-    assert np.array_equal(table.kp_values, np.asarray(policy))
-    assert table.sweeps == sweeps
-    assert table.converged == converged
+    # The kernel works in blocks of whole rows of about _BLOCK elements.
+    # Blocks of 1 and 3 split these small grids between rows and give a row
+    # wider than a block a block of its own.
+    for block in (policy_module._BLOCK, 1, 3):
+        with mock.patch.object(policy_module, "_BLOCK", block):
+            table = solve_policy_tabular(
+                x, forces, kp, reference, 0.03,
+                CostParams(a=1.0, b=cost_b), gamma=gamma, tol=1e-6,
+                max_sweeps=max_sweeps,
+            )
+        assert np.array_equal(table.value_function, np.asarray(values))
+        assert np.array_equal(table.kp_values, np.asarray(policy))
+        assert table.sweeps == sweeps
+        assert table.converged == converged
     return table
 
 
@@ -204,6 +212,22 @@ class TestOracleProperty:
         assert np.all(nx[:, 0] > x[-1])
         assert np.all(nx[:, 3] < x[0])
         assert nx[0, 1] == x[0]
+
+
+class TestBlockSize:
+    @pytest.mark.parametrize("reference", [4.0, 23.0])
+    def test_default_grid_independent_of_block(self, reference, monkeypatch):
+        # 777 pairs per block: rows of up to 1000 kept gains stand alone,
+        # and the setup and greedy passes take one row per block.
+        zone = get_zone("zone1")
+        expected = solve_policy(zone, reference)
+        monkeypatch.setattr(policy_module, "_BLOCK", 777)
+        table = solve_policy(zone, reference)
+        assert table.value_function.tobytes() == expected.value_function.tobytes()
+        assert table.kp_values.tobytes() == expected.kp_values.tobytes()
+        assert (table.sweeps, table.converged, table.monotone) == (
+            expected.sweeps, expected.converged, expected.monotone,
+        )
 
 
 class TestSolverFlags:

@@ -152,6 +152,10 @@ class TestRunEpisode:
             make_config(sensor_noise_sigma=-0.1)
         with pytest.raises(ValueError):
             make_config(reference=float("inf"))
+        with pytest.raises(ValueError, match="no control step"):
+            make_config(episode_duration=0.004)
+        with pytest.raises(ValueError, match="finite"):
+            make_config(episode_duration=float("inf"))
 
 
 class TestComputeMetrics:
